@@ -7,7 +7,9 @@ output. Output is deterministic given the flags; ``--jobs`` only affects
 wall time.
 
 Exit codes (stable API): 0 ok, 2 domain error, 3 digit guard exceeded,
-4 search inconclusive, 5 verification failure.
+4 search inconclusive, 5 verification failure, 6 invariant violation (a
+proved identity failed: a bug, reported in one stderr line), 141 stdout
+closed by its reader before the output was written (nothing on stderr).
 """
 
 from __future__ import annotations
@@ -15,18 +17,27 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from math import gcd
 
 from . import counterexamples, greedy, lemmas, underapprox
-from .errors import DigitGuardExceeded, DomainError, SearchInconclusive
+from ._pool import worker_count
+from .errors import (
+    DigitGuardExceeded,
+    DomainError,
+    InvariantViolation,
+    SearchInconclusive,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_GUARD = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_VERIFY_FAILED = 5
+EXIT_INVARIANT = 6
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `cmd | head`
 
 DEFAULT_DIGIT_GUARD = 10_000
 
@@ -184,41 +195,76 @@ def _threshold_csv_rows(rows):
         )
 
 
+# One threshold row as json.dump(..., indent=2) lays it out inside the
+# report's "rows" list: 7 keys in this order, ints, bools, lists of pairs.
+_ROW_JSON = (
+    '\n    {\n      "p": %d,\n      "q": %d,\n      "upsilon": %d,'
+    '\n      "greedy_is_best": %s,\n      "unique": %s,'
+    '\n      "ties": %s,\n      "losses": %s\n    }'
+)
+_PAIR_JSON = "\n        [\n          %d,\n          %d\n        ]"
+_JSON_BOOL = {True: "true", False: "false"}
+_ROWS_PER_WRITE = 2048
+
+
+def _pairs_json(pairs) -> str:
+    if not pairs:
+        return "[]"
+    return "[" + ",".join([_PAIR_JSON % pair for pair in pairs]) + "\n      ]"
+
+
+def _row_json(row) -> str:
+    return _ROW_JSON % (
+        row["p"],
+        row["q"],
+        row["upsilon"],
+        _JSON_BOOL[row["greedy_is_best"]],
+        _JSON_BOOL[row["unique"]],
+        _pairs_json(row["ties"]),
+        _pairs_json(row["losses"]),
+    )
+
+
+def _emit_threshold_json(report, rows) -> None:
+    """Write ``json.dump({**report, "rows": rows}, indent=2)`` plus a newline.
+
+    The report keys go through ``json.dumps``; the rows, which are most of
+    the output, through the fixed-layout encoder above, in large writes.
+    """
+    write = sys.stdout.write
+    head = json.dumps(report.to_json_dict(), indent=2)
+    write(head[:-2] + ',\n  "rows": [')  # head ends with "\n}"
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        chunk = ",".join([_row_json(row) for row in rows[start : start + _ROWS_PER_WRITE]])
+        write(chunk if start == 0 else "," + chunk)
+    write("\n  ]\n}\n" if rows else "]\n}\n")
+
+
 def cmd_verify(args) -> int:
     suite = args.suite
+    jobs = worker_count(args.jobs)  # rejected for every suite, not only sweeps
     reports = []
     if suite == "lp1":
-        reports.append(lemmas.verify_lp1(args.q_max, jobs=args.jobs))
+        reports.append(lemmas.verify_lp1(args.q_max, jobs=jobs))
     elif suite == "lp11":
-        reports.append(lemmas.verify_lp11(args.q_max, jobs=args.jobs))
+        reports.append(lemmas.verify_lp11(args.q_max, jobs=jobs))
     elif suite == "lp12":
         reports.append(lemmas.verify_lp12())
     elif suite == "lp50":
-        reports.append(lemmas.verify_lp50(args.q_max, jobs=args.jobs))
+        reports.append(lemmas.verify_lp50(args.q_max, jobs=jobs))
     elif suite == "threshold":
-        rows = underapprox.threshold_sweep(args.q_max, jobs=args.jobs)
+        rows = underapprox.threshold_sweep(args.q_max, jobs=jobs)
         if args.format == "csv":
             _emit_csv(
                 ["p", "q", "upsilon", "greedy_is_best", "unique", "ties", "losses"],
                 _threshold_csv_rows(rows),
             )
             return EXIT_OK
+        if args.format == "json":
+            rows = list(rows)  # the report's keys are written before its rows
         report = underapprox.verify_threshold_rows(rows, args.q_max)
         if args.format == "json":
-            payload = report.to_json_dict()
-            payload["rows"] = [
-                {
-                    "p": row["p"],
-                    "q": row["q"],
-                    "upsilon": row["upsilon"],
-                    "greedy_is_best": row["greedy_is_best"],
-                    "unique": row["unique"],
-                    "ties": [list(t) for t in row["ties"]],
-                    "losses": [list(t) for t in row["losses"]],
-                }
-                for row in rows
-            ]
-            _emit_json(payload)
+            _emit_threshold_json(report, rows)
             return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
         reports.append(report)
     elif suite == "claims":
@@ -328,7 +374,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at exit
+        return code
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -338,6 +386,16 @@ def main(argv=None) -> int:
     except SearchInconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`). Point stdout at devnull so
+        # the interpreter's final flush of the unwritten buffer cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: DomainError -> 2,
-DigitGuardExceeded -> 3, SearchInconclusive -> 4 (verification failures
-are reported through VerificationReport, not exceptions).
+DigitGuardExceeded -> 3, SearchInconclusive -> 4, InvariantViolation -> 6
+(verification failures are reported through VerificationReport, not
+exceptions, and exit 5).
 """
 
 

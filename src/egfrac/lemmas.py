@@ -32,6 +32,7 @@ from math import gcd
 from typing import Iterable
 
 from . import _backend
+from ._pool import ordered_map, worker_count
 from .errors import DomainError
 from .greedy import upsilon
 from .report import VerificationReport
@@ -48,12 +49,7 @@ def _admissible_divisors(total: int, min_quotient: int) -> Iterable[int]:
 
 
 def _map_q_range(worker, qs, jobs: int):
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, qs, chunksize=32))
-    return [worker(q) for q in qs]
+    return list(ordered_map(worker, qs, worker_count(jobs), chunksize=32))
 
 
 def _lp1_scan_q(q: int) -> tuple[int, list[tuple]]:

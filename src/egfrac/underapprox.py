@@ -24,12 +24,14 @@ exposed as filters so sweeps can assert them against search output.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _backend, rational
+from ._pool import ordered_map, worker_count
 from .errors import DomainError, InvariantViolation, SearchInconclusive
 from .greedy import expand, upsilon
 from .report import VerificationReport
@@ -281,23 +283,26 @@ def _threshold_rows_for_q(q: int) -> list[dict]:
     return rows
 
 
-def threshold_sweep(q_max: int, jobs: int = 1) -> list[dict]:
+def threshold_sweep(q_max: int, jobs: int = 1) -> Iterator[dict]:
     """Two-term search rows for every reduced p/q with p < q <= q_max.
 
-    Rows are ordered by (q, p) regardless of worker count.
+    Rows are yielded one at a time, ordered by (q, p) regardless of worker
+    count; with ``jobs > 1`` they are yielded as the workers' chunks
+    arrive. The arguments are checked before the first row is asked for.
+    Closing the iterator early cancels the chunks not yet started.
     """
     if q_max < 2:
         raise DomainError("q_max must be >= 2")
-    qs = range(2, q_max + 1)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    chunks = ordered_map(
+        _threshold_rows_for_q, range(2, q_max + 1), worker_count(jobs), chunksize=16
+    )
+    return _flatten(chunks)
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(_threshold_rows_for_q, qs, chunksize=16)
-            rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = [row for q in qs for row in _threshold_rows_for_q(q)]
-    return rows
+
+def _flatten(chunks: Iterator[list]) -> Iterator:
+    with closing(chunks):
+        for chunk in chunks:
+            yield from chunk
 
 
 # the single two-term tie below the threshold, and its exact tie set
@@ -316,11 +321,13 @@ def verify_threshold_sweep(q_max: int, jobs: int = 1) -> VerificationReport:
     return verify_threshold_rows(threshold_sweep(q_max, jobs=jobs), q_max)
 
 
-def verify_threshold_rows(rows: list[dict], q_max: int) -> VerificationReport:
-    """The threshold check applied to already-computed sweep rows."""
+def verify_threshold_rows(rows: Iterable[dict], q_max: int) -> VerificationReport:
+    """The threshold check applied to sweep rows, in a single pass."""
     failures: list[tuple] = []
     observations: list[dict] = []
+    points = 0
     for row in rows:
+        points += 1
         p, q = row["p"], row["q"]
         if row["upsilon"] <= 3:
             if (p, q) == TIE_POINT:
@@ -345,7 +352,7 @@ def verify_threshold_rows(rows: list[dict], q_max: int) -> VerificationReport:
     return VerificationReport(
         lemma_id="threshold",
         range_descr=f"reduced p/q, p < q <= {q_max}",
-        points_checked=len(rows),
+        points_checked=points,
         failures=sorted(failures),
         expected_exceptions=[],
         observations=observations,

@@ -3,10 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from egfrac import cli
+from egfrac import _pool, cli, greedy, underapprox
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SYLVESTER_8 = ["2", "3", "7", "43", "1807", "3263443", "10650056950807",
                "113423713055421844361000443"]
@@ -184,3 +190,88 @@ def test_deterministic_output(capsys):
     assert out1 == out2
     _, out3, _ = run_cli(capsys, "verify", "lp1", "--q-max", "60", "--jobs", "2")
     assert out1 == out3
+
+
+def _threshold_json_via_json_dump(q_max):
+    """The threshold report built as a dict and encoded by json.dumps."""
+    rows = list(underapprox.threshold_sweep(q_max))
+    payload = underapprox.verify_threshold_rows(rows, q_max).to_json_dict()
+    payload["rows"] = [
+        {
+            "p": row["p"],
+            "q": row["q"],
+            "upsilon": row["upsilon"],
+            "greedy_is_best": row["greedy_is_best"],
+            "unique": row["unique"],
+            "ties": [list(t) for t in row["ties"]],
+            "losses": [list(t) for t in row["losses"]],
+        }
+        for row in rows
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# q < 11 has no observations; 17 adds the 10/17 tie and the first losses;
+# 90 has more rows than one write of the row encoder holds
+@pytest.mark.parametrize("q_max", [2, 3, 10, 17, 40, 90])
+def test_threshold_json_is_json_dump_byte_for_byte(capsys, q_max):
+    code, out, _ = run_cli(capsys, "verify", "threshold", "--q-max", str(q_max))
+    assert code == 0
+    assert out == _threshold_json_via_json_dump(q_max)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_threshold_output_does_not_depend_on_jobs(capsys, fmt):
+    argv = ["--format", fmt, "verify", "threshold", "--q-max", "60"]
+    code1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
+    code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2 and out1
+
+
+@pytest.mark.parametrize("suite", ["lp1", "threshold", "tables"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_domain_error(capsys, suite, jobs):
+    code, out, err = run_cli(
+        capsys, "--format", "plain", "verify", suite, "--q-max", "30", "--jobs", jobs
+    )
+    assert code == cli.EXIT_DOMAIN
+    assert out == "" and "jobs" in err
+
+
+def test_worker_count_clamps_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(_pool.os, "cpu_count", lambda: 2)
+    assert [_pool.worker_count(j) for j in (1, 2, 3, 10_000)] == [1, 2, 2, 2]
+    monkeypatch.setattr(_pool.os, "cpu_count", lambda: None)
+    assert _pool.worker_count(8) == 1
+
+
+def test_invariant_violation_exit_code(capsys, monkeypatch):
+    # b_m = n * a_m always makes condition (ii) hold; at 1/7, m = 1, n = 2
+    # condition (i) fails, so the provably equivalent conditions disagree
+    g_func = greedy.g_func
+    monkeypatch.setattr(greedy, "superior_denominator", lambda e, n: n * g_func(e))
+    code, out, err = run_cli(capsys, "step", "1", "7", "--m", "1", "--n", "2")
+    assert code == cli.EXIT_INVARIANT == 6
+    assert out == ""
+    assert err.startswith("invariant violation: step conditions disagree")
+    assert err.count("\n") == 1
+
+
+def test_closed_stdout_exits_quietly():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "egfrac.cli", "--format", "csv",
+         "verify", "threshold", "--q-max", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"p,q,upsilon,greedy_is_best,unique,ties,losses\n"
+    proc.stdout.close()  # like `| head -1`
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert code == cli.EXIT_BROKEN_PIPE
+    assert err == b""

@@ -1,6 +1,8 @@
 """Best two-term / m-term searches, their filters, and the threshold sweep."""
 
+import multiprocessing
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -174,4 +176,22 @@ def test_verify_threshold_sweep_small():
 
 
 def test_threshold_sweep_parallel_matches_serial():
-    assert underapprox.threshold_sweep(40, jobs=2) == underapprox.threshold_sweep(40)
+    assert list(underapprox.threshold_sweep(40, jobs=2)) == list(underapprox.threshold_sweep(40))
+
+
+def test_threshold_sweep_checks_arguments_before_iteration():
+    with pytest.raises(DomainError):
+        underapprox.threshold_sweep(1)
+    with pytest.raises(DomainError):
+        underapprox.threshold_sweep(40, jobs=0)
+
+
+def test_threshold_sweep_closed_early_cancels_pending_chunks():
+    # the full sweep to q = 3000 takes tens of seconds on two workers
+    rows = underapprox.threshold_sweep(3000, jobs=2)
+    first = [row for _, row in zip(range(5), rows)]
+    assert [(r["p"], r["q"]) for r in first] == [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]
+    start = time.perf_counter()
+    rows.close()
+    assert time.perf_counter() - start < 5.0
+    assert multiprocessing.active_children() == []
