@@ -90,7 +90,9 @@ def cmd_expand(args) -> int:
 
 def cmd_best(args) -> int:
     p, q = _reduced(args.p, args.q)
-    result = underapprox.best_m_term(Fraction(p, q), args.m, budget=args.budget)
+    result = underapprox.best_m_term(
+        Fraction(p, q), args.m, budget=args.budget, digit_guard=DEFAULT_DIGIT_GUARD
+    )
     if args.format == "plain":
         tuples = ", ".join(str(t) for t in result.optimal_tuples)
         _emit_plain(
@@ -327,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_best.add_argument("p", type=int)
     p_best.add_argument("q", type=int)
     p_best.add_argument("--m", type=int, required=True)
-    p_best.add_argument("--budget", type=int, default=None, help="search node budget")
+    p_best.add_argument(
+        "--budget", type=int, default=None, help="search node budget (at least 1)"
+    )
     p_best.set_defaults(func=cmd_best)
 
     p_step = sub.add_parser("step", help="step conditions for numerator n at step m")

@@ -26,31 +26,6 @@ def make(p: int, q: int) -> Fraction:
     return Fraction(p, q)
 
 
-def add(a: Fraction, b: Fraction) -> Fraction:
-    return a + b
-
-
-def sub(a: Fraction, b: Fraction) -> Fraction:
-    return a - b
-
-
-def mul(a: Fraction, b: Fraction) -> Fraction:
-    return a * b
-
-
-def div(a: Fraction, b: Fraction) -> Fraction:
-    if b == 0:
-        raise DomainError("division by zero")
-    return a / b
-
-
-def compare(a: Fraction, b: Fraction) -> int:
-    """Total order: -1, 0, or 1 as a <, =, > b."""
-    if a < b:
-        return -1
-    return 1 if a > b else 0
-
-
 def floor_of_reciprocal(x: Fraction) -> int:
     """floor(1/x) for nonzero x.
 

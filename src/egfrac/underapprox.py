@@ -10,11 +10,14 @@ only one among reduced fractions with divisibility index <= 3.
 Two searches are provided. ``best_two_term`` scans the elementary
 complete range for x_1 (any pair summing to at least the greedy sum S
 has 1/x_1 >= S/2) and is backed by the sweep kernel backend.
-``best_m_term`` is a branch-and-bound over nondecreasing tuples whose
-level bounds make it complete: at level i with partial sum s, x_i must
-lie in [max(x_{i-1}, floor(1/(theta-s)) + 1), floor((m-i+1)/(B-s))]
-where B is the incumbent best sum. Exceeding the node budget raises
-SearchInconclusive rather than returning a partial answer.
+``best_m_term`` is a branch-and-bound over nondecreasing tuples. At
+level i < m - 1 with partial sum s it tries every x_i in
+[max(x_{i-1}, floor(1/(theta-s)) + 1), floor((m-i+1)/(B-s))], where B is
+the incumbent best sum. The last two levels are solved exactly: for each
+x_{m-1} the best last term is a closed form, and a convex lower bound on
+the error closes the x_{m-1} range as soon as no further x_{m-1} can
+reach the incumbent. Exceeding the node budget raises SearchInconclusive
+rather than returning a partial answer.
 
 The interval test ``na23_bounds_check`` that any non-greedy competitor
 pair must pass, and the prefix-product certificate
@@ -25,7 +28,7 @@ exposed as filters so sweeps can assert them against search output.
 from __future__ import annotations
 
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
@@ -54,6 +57,8 @@ class UnderapproxResult:
     optimal_sum: Fraction
     greedy_is_best: bool
     unique: bool
+    nodes_per_level: tuple[int, ...] = field(default=(), compare=False)
+    pruned_per_level: tuple[int, ...] = field(default=(), compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -66,16 +71,6 @@ class UnderapproxResult:
             "greedy_is_best": self.greedy_is_best,
             "unique": self.unique,
         }
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    """Admissible denominator range at one search level (lower <= upper
-    whenever the branch gets explored)."""
-
-    level: int
-    lower: int
-    upper: int
 
 
 def _require_unit_interval(theta: Fraction) -> None:
@@ -104,32 +99,77 @@ def best_two_term(theta: Fraction) -> UnderapproxResult:
 
 
 def best_m_term(
-    theta: Fraction, m: int, budget: Optional[int] = None
+    theta: Fraction,
+    m: int,
+    budget: Optional[int] = None,
+    digit_guard: Optional[int] = None,
 ) -> UnderapproxResult:
-    """Complete branch-and-bound for the best m-term underapproximation.
+    """Complete search for the best m-term underapproximation.
 
     The incumbent starts at the greedy m-term sum (always feasible), so
     the level-i upper bound floor((m-i+1)/(B-s)) prunes immediately;
     branches that can only tie the incumbent are kept, so the returned
-    tuple set is exactly the argmax. ``budget`` caps the number of search
-    nodes; exceeding it raises SearchInconclusive.
+    tuple set is exactly the argmax.
+
+    Levels 1..m-2 are enumerated. The last two are solved exactly: with
+    residual r = a/b = theta - s (reduced) after the first m-2 terms, each
+    x = x_{m-1} >= max(x_{m-2}, floor(b/a) + 1) has d = a*x - b > 0, and
+    its best last term is y = max(x, floor(b*x/d) + 1), the least y >= x
+    with 1/y < r - 1/x = d/(b*x). Its error is r - 1/x - 1/y =
+    (d*y - b*x)/(b*x*y). At x = floor(b/a) + 1, d is the divisibility
+    index upsilon(a, b), and d grows by a per step.
+
+    The x range is closed by a bound on that error. With y unconstrained,
+    y = floor(b*x/d) + 1 gives the error (d - (b*x mod d))/(b*x*y) >= 1/g(x),
+    because the numerator is >= 1 and y <= b*x/d + 1, so
+    b*x*y <= b^2 x^2/d + b*x = g(x), where
+
+        g(x) = b^2 x^2/(a*x - b) + b*x = b*x*(b*x + d)/d.
+
+    Forcing y = x (when floor(b*x/d) + 1 < x) only lowers the sum, so the
+    error of the pair actually recorded is >= 1/g(x) too. Write t = a*x - b
+    > 0: then g = (b/a)^2 (t + 2b + b^2/t) + b*x, a convex function of t
+    plus a linear one, so g is convex on x > b/a. On [X, U] it therefore
+    stays <= max(g(X), g(U)), and every x in [X, U] has error
+    >= 1/max(g(X), g(U)). U = floor(2/(B-s)) is the level's range bound.
+    When that error floor is strictly above the incumbent's error
+    theta - B, no x in [X, U] can beat or tie the incumbent, and the range
+    is closed at X. U, theta - B and g(U) are recomputed whenever the
+    incumbent improves. All of this is integer cross-multiplication.
+
+    ``budget`` caps the number of search nodes, one per x tried at levels
+    1..m-1; exceeding it raises SearchInconclusive. ``digit_guard`` is
+    passed to the greedy expansion that seeds the incumbent (the library
+    default is no cap).
     """
     _require_unit_interval(theta)
     if m < 1:
         raise DomainError("m must be a positive integer")
+    if budget is not None and budget < 1:
+        raise DomainError("budget must be a positive integer")
     p, q = theta.numerator, theta.denominator
 
-    greedy_terms = expand(theta, m).terms
+    greedy_terms = expand(theta, m, digit_guard=digit_guard).terms
     bn, bd = 0, 1
     for a in greedy_terms:
         bn, bd = bn * a + bd, bd * a
     g = gcd(bn, bd)
     best = [bn // g, bd // g]
     found: set[tuple[int, ...]] = {tuple(greedy_terms)}
-    nodes = 0
+    nodes = [0] * (m - 1)
+    pruned = [0] * (m - 1)
+    total = 0
     prefix: list[int] = []
 
-    def record(tup: tuple[int, ...], c_num: int, c_den: int) -> None:
+    def tick(level: int) -> None:
+        nonlocal total
+        total += 1
+        if budget is not None and total > budget:
+            raise SearchInconclusive(total, budget)
+        nodes[level - 1] += 1
+
+    def record(tup: tuple[int, ...], c_num: int, c_den: int) -> bool:
+        """Add a candidate sum; True when it beats the incumbent."""
         g = gcd(c_num, c_den)
         c_num //= g
         c_den //= g
@@ -139,39 +179,59 @@ def best_m_term(
             best[0], best[1] = c_num, c_den
             found.clear()
             found.add(tup)
-        elif lhs == rhs:
+            return True
+        if lhs == rhs:
             found.add(tup)
+        return False
 
     def descend(level: int, prev: int, s_num: int, s_den: int) -> None:
-        nonlocal nodes
         # residual theta - s, reduced to keep intermediates small
         r_num = p * s_den - s_num * q
         r_den = q * s_den
         g = gcd(r_num, r_den)
         r_num //= g
         r_den //= g
-        lower = max(prev, r_den // r_num + 1)
-        remaining = m - level + 1
-        if level == m:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchInconclusive(nodes, budget)
-            record(tuple(prefix) + (lower,), s_num * lower + s_den, s_den * lower)
+        x = max(prev, r_den // r_num + 1)
+        if level == m - 1:
+            last_two(x, s_num, s_den, r_num, r_den)
             return
-        x = lower
-        while True:
-            # keep x only while s + remaining/x can still reach the incumbent
-            if (s_num * x + remaining * s_den) * best[1] < best[0] * s_den * x:
-                break
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchInconclusive(nodes, budget)
+        remaining = m - level + 1
+        # keep x only while s + remaining/x can still reach the incumbent
+        while (s_num * x + remaining * s_den) * best[1] >= best[0] * s_den * x:
+            tick(level)
             prefix.append(x)
             descend(level + 1, x, s_num * x + s_den, s_den * x)
             prefix.pop()
             x += 1
 
-    descend(1, 2, 0, 1)
+    def last_two(x: int, s_num: int, s_den: int, a: int, b: int) -> None:
+        level = m - 1
+        head = tuple(prefix)
+        upper = None  # None until the limits are computed for the current incumbent
+        while True:
+            if upper is None:
+                gap = best[0] * s_den - s_num * best[1]  # (B - s) * bd * s_den
+                if gap > 0:  # else B <= s, and the first record lifts B above s
+                    upper = 2 * best[1] * s_den // gap
+                    e_num, e_den = p * best[1] - best[0] * q, q * best[1]  # theta - B
+                    g_num, g_den = _error_floor(a, b, upper)
+                    far = g_num * e_num < g_den * e_den  # 1/g(U) > theta - B
+            if upper is not None:
+                if x > upper:
+                    return
+                if far:
+                    g_num, g_den = _error_floor(a, b, x)
+                    if g_num * e_num < g_den * e_den:
+                        pruned[level - 1] += upper - x + 1
+                        return
+            tick(level)
+            y, err_num, err_den = _closing_term(a, b, x)
+            if record(head + (x, y), p * err_den - err_num * q, q * err_den):
+                upper = None
+            x += 1
+
+    if m > 1:
+        descend(1, 2, 0, 1)
 
     optimal_sum = Fraction(best[0], best[1])
     greedy_sum = Fraction(bn, bd)
@@ -185,23 +245,31 @@ def best_m_term(
         optimal_sum=optimal_sum,
         greedy_is_best=optimal_sum == greedy_sum,
         unique=len(tuples) == 1,
+        nodes_per_level=tuple(nodes),
+        pruned_per_level=tuple(pruned),
     )
 
 
-def search_bounds_at(
-    theta: Fraction, m: int, level: int, prev: int, partial: Fraction, incumbent: Fraction
-) -> SearchBounds:
-    """The admissible range for x_level given a partial sum and incumbent."""
-    residual = theta - partial
-    if residual <= 0:
-        raise DomainError("partial sum must stay below theta")
-    gap = incumbent - partial
-    if gap <= 0:
-        raise DomainError("incumbent must exceed the partial sum")
-    lower = max(prev, residual.denominator // residual.numerator + 1)
-    remaining = m - level + 1
-    upper = (remaining * gap.denominator) // gap.numerator
-    return SearchBounds(level, lower, upper)
+def _closing_term(a: int, b: int, x: int) -> tuple[int, int, int]:
+    """Best last term y >= x after x, for residual a/b and x > b/a.
+
+    Returns (y, num, den) with a/b - 1/x - 1/y = num/den > 0, not reduced.
+    """
+    d = a * x - b
+    bx = b * x
+    y = max(x, bx // d + 1)
+    return y, d * y - bx, bx * y
+
+
+def _error_floor(a: int, b: int, x: int) -> tuple[int, int]:
+    """g(x) = b^2 x^2/(a*x - b) + b*x as (num, den), for x > b/a.
+
+    Every pair (x, y) with y >= x, for residual a/b, misses it by at
+    least 1/g(x); see ``best_m_term``.
+    """
+    d = a * x - b
+    bx = b * x
+    return bx * (bx + d), d
 
 
 def na23_bounds_check(theta: Fraction, x1: int, x2: int) -> bool:

@@ -7,11 +7,16 @@ reaches the greedy m-term sum S has 1/x1 >= S/m, and given x1 (always at
 least the greedy first term, so S - 1/x1 > 0) the next denominator
 satisfies 1/x2 >= (S - 1/x1)/(m-1); the last position is filled by the
 largest feasible unit fraction.
+
+``branch_and_bound_m_term`` is the m-term search as it was before its
+last two levels got a closed form and an error bound: every x_{m-1} in
+the level's range is tried. It is the reference for m = 4.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 
 def smallest_denominator_below(r: Fraction) -> int:
@@ -81,6 +86,55 @@ def naive_best_m_term(p: int, q: int, m: int) -> tuple[Fraction, list[tuple[int,
             x3 = max(x2, smallest_denominator_below(r2))
             consider((x1, x2, x3), f1 + f2 + Fraction(1, x3))
     return best, sorted(found)
+
+
+def branch_and_bound_m_term(
+    p: int, q: int, m: int, budget: int
+) -> Optional[tuple[Fraction, list[tuple[int, ...]]]]:
+    """Plain branch-and-bound over nondecreasing tuples for m >= 2.
+
+    Returns (optimal sum, argmax tuples), or None after ``budget`` nodes.
+    At level i with partial sum s, x_i runs over
+    [max(x_{i-1}, floor(1/(theta-s)) + 1), floor((m-i+1)/(B-s))], B the
+    incumbent, and the last term is the largest feasible unit fraction.
+    The level bound compares integer pairs: Fraction arithmetic in that
+    loop would make the oracle too slow for a test at m = 4.
+    """
+    greedy, _ = greedy_prefix(p, q, m)
+    greedy_sum = sum(Fraction(1, a) for a in greedy)
+    best = [greedy_sum.numerator, greedy_sum.denominator]
+    found = {tuple(greedy)}
+    nodes = 0
+    prefix: list[int] = []
+
+    def descend(level: int, prev: int, s_num: int, s_den: int) -> bool:
+        nonlocal nodes
+        r = Fraction(p * s_den - s_num * q, q * s_den)
+        x = max(prev, r.denominator // r.numerator + 1)
+        if level == m:
+            total = Fraction(s_num * x + s_den, s_den * x)
+            if total > Fraction(*best):
+                best[:] = total.numerator, total.denominator
+                found.clear()
+            if total == Fraction(*best):
+                found.add((*prefix, x))
+            return True
+        remaining = m - level + 1
+        while (s_num * x + remaining * s_den) * best[1] >= best[0] * s_den * x:
+            nodes += 1
+            if nodes > budget:
+                return False
+            prefix.append(x)
+            done = descend(level + 1, x, s_num * x + s_den, s_den * x)
+            prefix.pop()
+            if not done:
+                return False
+            x += 1
+        return True
+
+    if not descend(1, 2, 0, 1):
+        return None
+    return Fraction(*best), sorted(found)
 
 
 def reduced_fractions(q_max: int):

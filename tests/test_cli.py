@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,34 @@ def test_best_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "best", "5", "16", "--m", "3", "--budget", "2")
     assert code == 4
     assert "inconclusive" in err
+
+
+def test_best_budget_is_one_node_per_x_tried(capsys):
+    result = underapprox.best_m_term(Fraction(10, 17), 5)
+    nodes = sum(result.nodes_per_level)
+    code, out, _ = run_cli(capsys, "best", "10", "17", "--m", "5", "--budget", str(nodes))
+    assert code == 0
+    assert json.loads(out) == result.to_json_dict()
+    code, out, err = run_cli(capsys, "best", "10", "17", "--m", "5", "--budget", str(nodes - 1))
+    assert code == 4 and out == ""
+    assert f"search budget exhausted after {nodes} nodes (budget {nodes - 1})" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_best_budget_below_one_is_a_domain_error(capsys, budget):
+    code, out, err = run_cli(capsys, "best", "10", "17", "--m", "2", "--budget", budget)
+    assert code == 2 and out == ""
+    assert "budget" in err
+
+
+def test_best_expansion_is_digit_guarded(capsys):
+    # greedy denominators of 5/16 double in digits at every step; the
+    # guard stops the expansion before the budget is ever consulted
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "best", "5", "16", "--m", "30", "--budget", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "digit guard" in err
 
 
 def test_step_command(capsys):

@@ -1,4 +1,4 @@
-"""Construction, arithmetic, ordering and codec checks for the rational carrier."""
+"""Construction, canonical form and codec checks for the rational carrier."""
 
 import random
 from fractions import Fraction
@@ -32,47 +32,16 @@ def _random_rationals(count, seed, span=10**6):
 
 
 def test_canonical_form_preserved_by_arithmetic():
+    # the JSON codec writes numerator and denominator as they are, so the
+    # carrier's arithmetic must keep them canonical
     rng = random.Random(7)
     values = list(_random_rationals(200, seed=11))
     for _ in range(500):
         a, b = rng.choice(values), rng.choice(values)
-        for op in (rational.add, rational.sub, rational.mul):
-            r = op(a, b)
+        results = [a + b, a - b, a * b] + ([a / b] if b != 0 else [])
+        for r in results:
             assert r.denominator > 0
             assert gcd(abs(r.numerator), r.denominator) == 1
-        if b != 0:
-            r = rational.div(a, b)
-            assert r.denominator > 0
-            assert gcd(abs(r.numerator), r.denominator) == 1
-
-
-def test_field_axioms_on_random_values():
-    rng = random.Random(23)
-    values = list(_random_rationals(100, seed=5, span=10**4))
-    for _ in range(400):
-        a, b, c = (rng.choice(values) for _ in range(3))
-        assert rational.add(rational.add(a, b), c) == rational.add(a, rational.add(b, c))
-        assert rational.mul(a, rational.add(b, c)) == rational.add(
-            rational.mul(a, b), rational.mul(a, c)
-        )
-        assert rational.sub(a, a) == 0
-
-
-def test_div_by_zero_rejected():
-    with pytest.raises(DomainError):
-        rational.div(Fraction(1, 2), Fraction(0, 1))
-
-
-def test_compare_matches_cross_multiplication():
-    rng = random.Random(41)
-    values = list(_random_rationals(150, seed=3, span=10**5))
-    for _ in range(500):
-        a, b = rng.choice(values), rng.choice(values)
-        # den > 0 on both sides, so the sign of a - b is the sign of
-        # a.num*b.den - b.num*a.den
-        lhs = a.numerator * b.denominator - b.numerator * a.denominator
-        want = 0 if lhs == 0 else (1 if lhs > 0 else -1)
-        assert rational.compare(a, b) == want
 
 
 def test_floor_of_reciprocal_examples():

@@ -3,13 +3,17 @@
 import multiprocessing
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from egfrac import underapprox
 from egfrac.errors import DomainError, InvariantViolation, SearchInconclusive
-from oracles import naive_best_m_term, reduced_fractions
+from oracles import branch_and_bound_m_term, naive_best_m_term, reduced_fractions
+
+SYLVESTER = (2, 3, 7, 43, 1807, 3263443)
 
 
 def test_best_two_term_greedy_loses_at_5_16():
@@ -95,11 +99,70 @@ def test_result_tuples_share_the_optimal_sum():
             assert r.optimal_sum >= r.greedy_sum
 
 
-def test_search_bounds_are_ordered_when_explored():
-    theta = Fraction(5, 16)
-    greedy_sum = sum(Fraction(1, a) for a in underapprox.best_m_term(theta, 3).greedy_terms)
-    b = underapprox.search_bounds_at(theta, 3, 1, 2, Fraction(0), greedy_sum)
-    assert b.level == 1 and b.lower <= b.upper
+def test_closing_term_is_exact_and_above_the_error_floor():
+    rng = random.Random(6)
+    for _ in range(2000):
+        b = rng.randint(2, 500)
+        a = rng.randint(1, b)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        x = b // a + 1 + rng.choice((0, 1, 2, rng.randint(0, 10**4)))
+        y, num, den = underapprox._closing_term(a, b, x)
+        error = Fraction(a, b) - Fraction(1, x) - Fraction(1, y)
+        assert error == Fraction(num, den) > 0
+        assert y >= x and (y == x or Fraction(1, y - 1) >= Fraction(a, b) - Fraction(1, x))
+        d = a * x - b
+        if y > x:  # the unconstrained best partner: the closed form of its error
+            assert error == Fraction(d - (b * x) % d, b * x * y)
+        g_num, g_den = underapprox._error_floor(a, b, x)
+        assert Fraction(g_num, g_den) == Fraction(b * b * x * x, d) + b * x
+        assert error * Fraction(g_num, g_den) >= 1
+
+
+def test_best_m_term_of_one_is_sylvester():
+    # Curtiss (1922): the greedy (Sylvester) terms are the unique best
+    # m-term underapproximation of 1
+    for m in range(1, 7):
+        r = underapprox.best_m_term(Fraction(1), m)
+        assert r.optimal_tuples == [SYLVESTER[:m]]
+        assert r.greedy_is_best and r.unique
+
+
+def test_best_m_term_at_m5():
+    r = underapprox.best_m_term(Fraction(10, 17), 5)
+    assert r.optimal_tuples == [(2, 12, 205, 41821, 1748954221), (3, 4, 205, 41821, 1748954221)]
+    assert r.greedy_is_best and not r.unique
+    r = underapprox.best_m_term(Fraction(5, 16), 5)
+    assert r.greedy_terms == [4, 17, 273, 74257, 5514027793]
+    assert r.optimal_tuples == [(5, 9, 721, 519121, 269486093521)]
+    assert not r.greedy_is_best and r.unique
+
+
+def test_best_m_term_matches_plain_branch_and_bound_at_m4():
+    rng = random.Random(2024)
+    decided = not_greedy = 0
+    for _ in range(60):
+        q = rng.randint(2, 30)
+        p = rng.randint(1, q - 1)
+        oracle = branch_and_bound_m_term(p, q, 4, budget=10_000)
+        if oracle is None:
+            continue
+        r = underapprox.best_m_term(Fraction(p, q), 4)
+        assert (r.optimal_sum, r.optimal_tuples) == oracle, (p, q)
+        decided += 1
+        not_greedy += not (r.greedy_is_best and r.unique)
+    assert decided >= 40 and not_greedy >= 2
+
+
+def test_search_effort_is_reported_outside_the_answer():
+    r = underapprox.best_m_term(Fraction(10, 17), 5)
+    assert len(r.nodes_per_level) == len(r.pruned_per_level) == 4
+    assert all(n > 0 for n in r.nodes_per_level)
+    assert r.pruned_per_level[:3] == (0, 0, 0) and r.pruned_per_level[3] > 0
+    assert "nodes_per_level" not in r.to_json_dict()
+    assert "pruned_per_level" not in r.to_json_dict()
+    assert replace(r, nodes_per_level=(), pruned_per_level=()) == r
+    assert underapprox.best_m_term(Fraction(10, 17), 1).nodes_per_level == ()
 
 
 def test_na23_bounds_check_examples():
