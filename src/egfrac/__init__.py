@@ -5,12 +5,12 @@ their per-step analysis (`egfrac.greedy`), complete searches for best
 two-term and m-term underapproximations (`egfrac.underapprox`),
 constructive counterexamples for every divisibility index k >= 4
 (`egfrac.counterexamples`), and finite-range sweeps of the supporting
-floor inequalities (`egfrac.lemmas`). The sweep inner loops run on a
-compiled kernel when the optional extension is built, with a pure-Python
-fallback selected at import (`egfrac._backend`).
+floor inequalities (`egfrac.lemmas`). The sweep inner loops are the
+integer-only pure-Python kernels in `egfrac._backend`; `backend_name()`
+names them in benchmark records.
 """
 
-from ._backend import HAVE_COMPILED, backend_name
+from ._backend import backend_name
 from .counterexamples import (
     TABLE_1,
     TABLE_2,

@@ -1,85 +1,133 @@
-"""Kernel backend selection.
+"""Sweep kernels: the hot inner loops of the verification sweeps.
 
-At import time this module loads the compiled sweep kernels when the
-extension is present (set ``EGFRAC_BACKEND=pure`` to refuse it, or
-``EGFRAC_BACKEND=compiled`` to fail loudly when it is missing). Each
-dispatcher below routes a call to the compiled twin only while the inputs
-sit inside its int64-safe range, and to the pure-Python kernel otherwise,
-so results are exact for arbitrarily large arguments either way.
+One row of the threshold sweep is one ``two_term_scan`` call, and one
+lemma point is one ``lp*_point`` call. Everything here is integer-only
+(floors via integer division, comparisons via cross-multiplication), so
+a sweep over millions of points never allocates a Fraction, and every
+function is exact for arbitrarily large inputs.
 
-Safety caps (compiled kernels do all arithmetic in C int64, max ~9.2e18):
-
-* two_term_scan: x1 <= 2(q+1), the partner x2 <= q*x1 + 1 <= 2q(q+1)+1,
-  and the largest product formed is best_num*c_den <= (x1+x2)*(x1'*x2')
-  < 8(q+1)^5. q <= 3000 keeps that below 2.0e18.
-* lp1/lp11 points: with u <= (q+2)/3 and s < u, the floor value is at
-  most u(u+s) < (2/9)(q+2)^2 and the comparison product (lhs+1)*den stays
-  under (2/9)(q+2)^2 * (1/4)(q+3)^3. q <= 5000 keeps it below 1.8e17.
-* lp50 points: bounded by the lp11 case (s = 1), same cap.
-* lp12 points: products grow linearly in s; s <= 10**6 is far inside range.
+``_closing_term`` and ``_error_floor`` are the last-two-level solver
+shared with ``underapprox.best_m_term``, whose docstring holds the proof
+that the error floor may close the range.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py as _pure
-
-_requested = os.environ.get("EGFRAC_BACKEND", "auto").lower()
-if _requested == "pure":
-    _compiled = None
-else:
-    try:
-        from . import _kernels_c as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
-        if _requested == "compiled":
-            raise ImportError(
-                "EGFRAC_BACKEND=compiled but egfrac._kernels_c is not built"
-            )
-
-HAVE_COMPILED = _compiled is not None
-
-TWO_TERM_COMPILED_MAX_Q = 3000
-LEMMA_COMPILED_MAX_Q = 5000
-LP12_COMPILED_MAX_S = 10**6
+from math import gcd
 
 
 def backend_name() -> str:
-    return "compiled" if HAVE_COMPILED else "pure"
+    """The kernel implementation in use; there is only the pure-Python one."""
+    return "pure"
 
 
-def two_term_scan(p: int, q: int):
-    if _compiled is not None and q <= TWO_TERM_COMPILED_MAX_Q:
-        return _compiled.two_term_scan(p, q)
-    return _pure.two_term_scan(p, q)
+def _closing_term(a: int, b: int, x: int) -> tuple[int, int, int]:
+    """Best last term y >= x after x, for residual a/b and x > b/a.
+
+    Returns (y, num, den) with a/b - 1/x - 1/y = num/den > 0, not reduced.
+    """
+    d = a * x - b
+    bx = b * x
+    y = bx // d + 1
+    if y < x:
+        y = x
+    return y, d * y - bx, bx * y
+
+
+def _error_floor(a: int, b: int, x: int) -> tuple[int, int]:
+    """g(x) = b^2 x^2/(a*x - b) + b*x as (num, den), for x > b/a.
+
+    Every pair (x, y) with y >= x, for residual a/b, misses it by at
+    least 1/g(x); see ``underapprox.best_m_term``.
+    """
+    d = a * x - b
+    bx = b * x
+    return bx * (bx + d), d
+
+
+def two_term_scan(p: int, q: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
+    """Complete search for the best two-term underapproximation of p/q.
+
+    Requires 0 < p/q <= 1 in lowest terms. Returns
+    ``(a1, a2, best_num, best_den, tuples)`` where (a1, a2) is the greedy
+    pair, best_num/best_den the optimal sum in lowest terms, and tuples
+    the sorted list of every optimal pair (x1 <= x2), ties included.
+
+    This is the last-two-level solver of ``best_m_term`` at partial sum 0.
+    Each x1 > a1 gets its best partner from ``_closing_term``. The x1
+    range is [a1, floor(2/B)] for the incumbent sum B, and it closes
+    early once the error floor 1/max(g(x1), g(floor(2/B))) is strictly
+    above the incumbent's error p/q - B, so ties are still found. The
+    bound and the incumbent's error are recomputed whenever B improves.
+    """
+    a1 = q // p + 1
+    a2, e_num, e_den = _closing_term(p, q, a1)
+    b1, b2 = a1, a2
+    found = [(a1, a2)]
+    upper = 2 * a1 * a2 // (a1 + a2)
+    far = None  # 1/g(upper) > p/q - B, computed once the range is entered
+    x = a1 + 1
+    while x <= upper:
+        if far is None:
+            g_num, g_den = _error_floor(p, q, upper)
+            far = g_num * e_num < g_den * e_den
+        if far:
+            g_num, g_den = _error_floor(p, q, x)
+            if g_num * e_num < g_den * e_den:
+                break
+        y, num, den = _closing_term(p, q, x)
+        lhs = num * e_den
+        rhs = e_num * den
+        if lhs < rhs:
+            e_num, e_den = num, den
+            b1, b2 = x, y
+            found = [(x, y)]
+            upper = 2 * x * y // (x + y)
+            far = None
+        elif lhs == rhs:
+            found.append((x, y))
+        x += 1
+
+    s_num, s_den = b1 + b2, b1 * b2
+    g = gcd(s_num, s_den)
+    return a1, a2, s_num // g, s_den // g, found
 
 
 def lp1_point(q: int, u: int, s: int, v: int) -> bool:
-    if _compiled is not None and q <= LEMMA_COMPILED_MAX_Q:
-        return _compiled.lp1_point(q, u, s, v)
-    return _pure.lp1_point(q, u, s, v)
+    """Point check of the divisor-offset-2 floor inequality.
+
+    floor(qu(u+s) / (s(q+2)+2u)) > (qu+v)u(u+s) / (squ+vs+2u(u+s)) - 1,
+    decided exactly by cross-multiplication.
+    """
+    lhs = (q * u * (u + s)) // (s * (q + 2) + 2 * u)
+    num = (q * u + v) * u * (u + s)
+    den = s * q * u + v * s + 2 * u * (u + s)
+    return (lhs + 1) * den > num
 
 
 def lp11_point(q: int, u: int, s: int, v: int) -> bool:
-    if _compiled is not None and q <= LEMMA_COMPILED_MAX_Q:
-        return _compiled.lp11_point(q, u, s, v)
-    return _pure.lp11_point(q, u, s, v)
+    """Point check of the divisor-offset-3 floor inequality (general s)."""
+    lhs = (q * u * (u + s)) // (s * (q + 3) + 3 * u)
+    num = (q * u + v) * u * (u + s)
+    den = s * q * u + v * s + 3 * u * (u + s)
+    return (lhs + 1) * den > num
 
 
 def lp50_point(q: int, u: int) -> bool:
-    if _compiled is not None and q <= LEMMA_COMPILED_MAX_Q:
-        return _compiled.lp50_point(q, u)
-    return _pure.lp50_point(q, u)
+    """Point check of the divisor-offset-3 inequality at s = 1, v = 3."""
+    lhs = (q * u * (u + 1)) // (q + 3 * (u + 1))
+    num = (q * u + 3) * u * (u + 1)
+    den = q * u + 3 + 3 * u * (u + 1)
+    return (lhs + 1) * den > num
 
 
 def lp12_point(s: int) -> bool:
-    if _compiled is not None and s <= LP12_COMPILED_MAX_S:
-        return _compiled.lp12_point(s)
-    return _pure.lp12_point(s)
+    """Point check of floor(61(8+s)/(8s+3)) > 3912(8+s)/(513s+192) - 1."""
+    lhs = (61 * (8 + s)) // (8 * s + 3)
+    return (lhs + 1) * (513 * s + 192) > 3912 * (8 + s)
 
 
 def lp12_point_is_equality(s: int) -> bool:
-    if _compiled is not None and s <= LP12_COMPILED_MAX_S:
-        return _compiled.lp12_point_is_equality(s)
-    return _pure.lp12_point_is_equality(s)
+    """True when the two sides of the lp12 inequality agree exactly."""
+    lhs = (61 * (8 + s)) // (8 * s + 3)
+    return (lhs + 1) * (513 * s + 192) == 3912 * (8 + s)

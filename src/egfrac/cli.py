@@ -184,17 +184,45 @@ def cmd_phi_samples(args) -> int:
     return EXIT_OK
 
 
-def _threshold_csv_rows(rows):
+_ROWS_PER_WRITE = 2048  # threshold rows encoded per stdout write
+
+# One threshold row as csv.writer(lineterminator="\n") writes it: no field
+# needs quoting (ints, True/False, "a:b;c:d" pair lists).
+_THRESHOLD_CSV_HEADER = "p,q,upsilon,greedy_is_best,unique,ties,losses\n"
+_ROW_CSV = "%d,%d,%d,%s,%s,%s,%s\n"
+
+
+def _pairs_csv(pairs) -> str:
+    return ";".join(["%d:%d" % pair for pair in pairs])
+
+
+def _written_as_csv(rows, write):
+    """Yield each row unchanged, writing its csv line as it goes by.
+
+    Lines are written 2048 at a time; the last, partial batch is written
+    when the rows run out.
+    """
+    lines = []
     for row in rows:
-        yield (
-            row["p"],
-            row["q"],
-            row["upsilon"],
-            row["greedy_is_best"],
-            row["unique"],
-            ";".join(f"{a}:{b}" for a, b in row["ties"]),
-            ";".join(f"{a}:{b}" for a, b in row["losses"]),
+        ties, losses = row["ties"], row["losses"]
+        lines.append(
+            _ROW_CSV
+            % (
+                row["p"],
+                row["q"],
+                row["upsilon"],
+                row["greedy_is_best"],
+                row["unique"],
+                _pairs_csv(ties) if ties else "",
+                _pairs_csv(losses) if losses else "",
+            )
         )
+        if len(lines) == _ROWS_PER_WRITE:
+            write("".join(lines))
+            lines.clear()
+        yield row
+    if lines:
+        write("".join(lines))
 
 
 # One threshold row as json.dump(..., indent=2) lays it out inside the
@@ -206,7 +234,6 @@ _ROW_JSON = (
 )
 _PAIR_JSON = "\n        [\n          %d,\n          %d\n        ]"
 _JSON_BOOL = {True: "true", False: "false"}
-_ROWS_PER_WRITE = 2048
 
 
 def _pairs_json(pairs) -> str:
@@ -257,11 +284,11 @@ def cmd_verify(args) -> int:
     elif suite == "threshold":
         rows = underapprox.threshold_sweep(args.q_max, jobs=jobs)
         if args.format == "csv":
-            _emit_csv(
-                ["p", "q", "upsilon", "greedy_is_best", "unique", "ties", "losses"],
-                _threshold_csv_rows(rows),
+            sys.stdout.write(_THRESHOLD_CSV_HEADER)
+            report = underapprox.verify_threshold_rows(
+                _written_as_csv(rows, sys.stdout.write), args.q_max
             )
-            return EXIT_OK
+            return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
         if args.format == "json":
             rows = list(rows)  # the report's keys are written before its rows
         report = underapprox.verify_threshold_rows(rows, args.q_max)

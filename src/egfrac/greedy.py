@@ -135,12 +135,14 @@ def expand(theta: Fraction, m: int, digit_guard: Optional[int] = None) -> Expans
     _require_unit_interval(theta)
     if m < 1:
         raise DomainError("term count must be >= 1")
-    limit = 10**digit_guard if digit_guard is not None else None
+    # a below 2**safe_bits has at most digit_guard digits, since
+    # 3.321928 < log2(10); only a longer a is compared with 10**digit_guard
+    safe_bits = digit_guard * 3321928 // 10**6 if digit_guard is not None else None
     terms: list[int] = []
     e = theta
     for step in range(1, m + 1):
         a = e.denominator // e.numerator + 1
-        if limit is not None and a >= limit:
+        if safe_bits is not None and a.bit_length() > safe_bits and a >= 10**digit_guard:
             raise DigitGuardExceeded(step, digit_guard)
         terms.append(a)
         e = e - Fraction(1, a)

@@ -53,13 +53,14 @@ def _map_q_range(worker, qs, jobs: int):
 
 
 def _lp1_scan_q(q: int) -> tuple[int, list[tuple]]:
+    point = _backend.lp1_point
     points = 0
     failures = []
     for u in _admissible_divisors(q + 2, 3):
         for s in range(1, u):
             for v in (1, 2):
                 points += 1
-                if not _backend.lp1_point(q, u, s, v):
+                if not point(q, u, s, v):
                     failures.append((q, u, s, v))
     return points, failures
 
@@ -85,13 +86,14 @@ def verify_lp1(q_max: int, jobs: int = 1) -> VerificationReport:
 
 
 def _lp11_scan_q(q: int) -> tuple[int, list[tuple]]:
+    point = _backend.lp11_point
     points = 0
     failing = []
     for u in _admissible_divisors(q + 3, 4):
         for s in range(1, u):
             for v in (1, 2, 3):
                 points += 1
-                if not _backend.lp11_point(q, u, s, v):
+                if not point(q, u, s, v):
                     failing.append((q, u, s, v))
     return points, failing
 
@@ -138,11 +140,12 @@ def _point_is_tie_lp11(q: int, u: int, s: int, v: int) -> bool:
 
 
 def _lp50_scan_q(q: int) -> tuple[int, list[tuple]]:
+    point = _backend.lp50_point
     points = 0
     failures = []
     for u in _admissible_divisors(q + 3, 4):
         points += 1
-        if not _backend.lp50_point(q, u):
+        if not point(q, u):
             failures.append((q, u))
     return points, failures
 

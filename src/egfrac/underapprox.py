@@ -7,9 +7,6 @@ and ties are returned as full sets (never broken arbitrarily): at
 10/17 the greedy pair (2, 12) ties with (3, 4), and that tie is the
 only one among reduced fractions with divisibility index <= 3.
 
-Two searches are provided. ``best_two_term`` scans the elementary
-complete range for x_1 (any pair summing to at least the greedy sum S
-has 1/x_1 >= S/2) and is backed by the sweep kernel backend.
 ``best_m_term`` is a branch-and-bound over nondecreasing tuples. At
 level i < m - 1 with partial sum s it tries every x_i in
 [max(x_{i-1}, floor(1/(theta-s)) + 1), floor((m-i+1)/(B-s))], where B is
@@ -17,7 +14,10 @@ the incumbent best sum. The last two levels are solved exactly: for each
 x_{m-1} the best last term is a closed form, and a convex lower bound on
 the error closes the x_{m-1} range as soon as no further x_{m-1} can
 reach the incumbent. Exceeding the node budget raises SearchInconclusive
-rather than returning a partial answer.
+rather than returning a partial answer. The closed form and the bound
+(``_backend._closing_term``, ``_backend._error_floor``) are shared with
+the sweep kernel ``_backend.two_term_scan``: the same solver at partial
+sum 0, which backs ``best_two_term`` and the threshold sweep.
 
 The interval test ``na23_bounds_check`` that any non-greedy competitor
 pair must pass, and the prefix-product certificate
@@ -34,6 +34,7 @@ from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _backend, rational
+from ._backend import _closing_term, _error_floor
 from ._pool import ordered_map, worker_count
 from .errors import DomainError, InvariantViolation, SearchInconclusive
 from .greedy import expand, upsilon
@@ -250,28 +251,6 @@ def best_m_term(
     )
 
 
-def _closing_term(a: int, b: int, x: int) -> tuple[int, int, int]:
-    """Best last term y >= x after x, for residual a/b and x > b/a.
-
-    Returns (y, num, den) with a/b - 1/x - 1/y = num/den > 0, not reduced.
-    """
-    d = a * x - b
-    bx = b * x
-    y = max(x, bx // d + 1)
-    return y, d * y - bx, bx * y
-
-
-def _error_floor(a: int, b: int, x: int) -> tuple[int, int]:
-    """g(x) = b^2 x^2/(a*x - b) + b*x as (num, den), for x > b/a.
-
-    Every pair (x, y) with y >= x, for residual a/b, misses it by at
-    least 1/g(x); see ``best_m_term``.
-    """
-    d = a * x - b
-    bx = b * x
-    return bx * (bx + d), d
-
-
 def na23_bounds_check(theta: Fraction, x1: int, x2: int) -> bool:
     """Interval test every non-greedy competitor pair must satisfy:
 
@@ -326,16 +305,15 @@ def muirhead_certificate(x: Sequence[int], a: Sequence[int]) -> bool:
 
 
 def _threshold_rows_for_q(q: int) -> list[dict]:
+    scan = _backend.two_term_scan
     rows = []
     for p in range(1, q):
         if gcd(p, q) != 1:
             continue
-        a1, a2, best_num, best_den, tuples = _backend.two_term_scan(p, q)
-        s_num, s_den = a1 + a2, a1 * a2
-        g = gcd(s_num, s_den)
-        greedy_is_best = (best_num, best_den) == (s_num // g, s_den // g)
-        greedy_pair = (a1, a2)
-        ties = [t for t in tuples if t != greedy_pair] if greedy_is_best else []
+        a1, a2, _, _, tuples = scan(p, q)
+        # every optimal pair with x1 = a1 is the greedy pair, and none has x1 < a1
+        greedy_is_best = tuples[0] == (a1, a2)
+        ties = tuples[1:] if greedy_is_best else []
         losses = [] if greedy_is_best else tuples
         rows.append(
             {

@@ -11,11 +11,14 @@ largest feasible unit fraction.
 ``branch_and_bound_m_term`` is the m-term search as it was before its
 last two levels got a closed form and an error bound: every x_{m-1} in
 the level's range is tried. It is the reference for m = 4.
+``two_term_scan`` is, in the same way, the two-term kernel before its x1
+range could close early: every x1 up to floor(2/S) is tried.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 
@@ -137,10 +140,41 @@ def branch_and_bound_m_term(
     return Fraction(*best), sorted(found)
 
 
+def two_term_scan(p: int, q: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
+    """Best two-term underapproximation of reduced p/q <= 1 by a static range.
+
+    Same return value as ``egfrac._backend.two_term_scan``. Any pair summing
+    to at least the greedy sum S has 1/x1 >= S/2, so x1 <= floor(2/S); each
+    x1 is paired with the largest unit fraction below p/q - 1/x1, swapped
+    into order when that partner is smaller.
+    """
+    a1 = q // p + 1
+    r_num, r_den = p * a1 - q, q * a1
+    a2 = r_den // r_num + 1
+
+    s_num, s_den = a1 + a2, a1 * a2
+    x1_hi = (2 * s_den) // s_num
+
+    best_num, best_den = s_num, s_den
+    found = {(a1, a2)}
+    for x1 in range(a1, x1_hi + 1):
+        rn, rd = p * x1 - q, q * x1
+        x2 = rd // rn + 1
+        c_num, c_den = x1 + x2, x1 * x2
+        lhs = c_num * best_den
+        rhs = best_num * c_den
+        if lhs > rhs:
+            best_num, best_den = c_num, c_den
+            found = {(x1, x2) if x1 <= x2 else (x2, x1)}
+        elif lhs == rhs:
+            found.add((x1, x2) if x1 <= x2 else (x2, x1))
+
+    g = gcd(best_num, best_den)
+    return a1, a2, best_num // g, best_den // g, sorted(found)
+
+
 def reduced_fractions(q_max: int):
     """All reduced p/q with 1 <= p < q <= q_max, plus 1/1."""
-    from math import gcd
-
     yield 1, 1
     for q in range(2, q_max + 1):
         for p in range(1, q):

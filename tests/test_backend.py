@@ -1,71 +1,40 @@
-"""Compiled kernels must agree with the pure-Python kernels everywhere
-the dispatcher may route to them, and out-of-range inputs must fall back."""
+"""The sweep kernels: the two-term scan against the static-range oracle."""
 
-import os
-import subprocess
-import sys
+import random
 from math import gcd
 
-import pytest
-
 from egfrac import _backend
-from egfrac import _kernels_py as pure
 
-compiled = pytest.importorskip("egfrac._kernels_c") if _backend.HAVE_COMPILED else None
-needs_compiled = pytest.mark.skipif(
-    not _backend.HAVE_COMPILED, reason="compiled kernels not built"
-)
-
-
-@needs_compiled
-def test_two_term_scan_backends_agree():
-    for q in range(2, 120):
-        for p in range(1, q):
-            if gcd(p, q) == 1:
-                assert compiled.two_term_scan(p, q) == pure.two_term_scan(p, q)
-
-
-@needs_compiled
-def test_lemma_point_backends_agree():
-    for q in range(4, 260):
-        for u in range(2, (q + 2) // 3 + 1):
-            if (q + 2) % u == 0:
-                for s in range(1, u):
-                    for v in (1, 2):
-                        assert compiled.lp1_point(q, u, s, v) == pure.lp1_point(q, u, s, v)
-    for q in range(5, 260):
-        for u in range(2, (q + 3) // 4 + 1):
-            if (q + 3) % u == 0:
-                assert compiled.lp50_point(q, u) == pure.lp50_point(q, u)
-                for s in range(1, u):
-                    for v in (1, 2, 3):
-                        assert compiled.lp11_point(q, u, s, v) == pure.lp11_point(q, u, s, v)
-    for s in list(range(1, 400)) + [154, 155, 156, 10**5]:
-        assert compiled.lp12_point(s) == pure.lp12_point(s)
-        assert compiled.lp12_point_is_equality(s) == pure.lp12_point_is_equality(s)
-
-
-def test_dispatcher_handles_inputs_beyond_compiled_range():
-    # far past the int64-safe caps: must hit the pure path and stay exact
-    big_q = _backend.TWO_TERM_COMPILED_MAX_Q * 40 + 1
-    a1, a2, num, den, tuples = _backend.two_term_scan(1, big_q)
-    assert a1 == big_q + 1
-    assert tuples[0] == (a1, a2)
-    assert _backend.lp12_point(_backend.LP12_COMPILED_MAX_S * 10)
-
-
-def test_forced_pure_backend_env():
-    code = "import egfrac; print(egfrac.backend_name())"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "EGFRAC_BACKEND": "pure"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"
+from oracles import reduced_fractions, two_term_scan
 
 
 def test_backend_name_reports_selection():
-    assert _backend.backend_name() in ("pure", "compiled")
-    assert _backend.backend_name() == ("compiled" if _backend.HAVE_COMPILED else "pure")
+    assert _backend.backend_name() == "pure"
+
+
+def test_two_term_scan_matches_oracle_on_every_fraction():
+    for p, q in reduced_fractions(300):
+        assert _backend.two_term_scan(p, q) == two_term_scan(p, q), (p, q)
+
+
+def test_two_term_scan_matches_oracle_on_seeded_large_fractions():
+    # p uniform in [1, q) keeps q/p, and so the oracle's range, small
+    rng = random.Random(7)
+    for _ in range(2000):
+        q = rng.randint(2, 10**12)
+        p = rng.randint(1, q - 1)
+        g = gcd(p, q)
+        assert _backend.two_term_scan(p // g, q // g) == two_term_scan(p // g, q // g)
+
+
+def test_two_term_scan_matches_oracle_near_1e40():
+    q = 10**40 + 1
+    for p in (q // 2 - 1, q // 3 + 7, 2 * q // 5 + 3, q // 7 + 2, q // 41 + 10**20):
+        g = gcd(p, q)
+        assert _backend.two_term_scan(p // g, q // g) == two_term_scan(p // g, q // g), p
+    # upsilon(1, q) = 1, so greedy is the unique best; the oracle would
+    # try about q values of x1 here, the kernel closes its range at once
+    a1, a2, num, den, tuples = _backend.two_term_scan(1, q)
+    assert (a1, a2) == (q + 1, q * (q + 1) + 1)
+    assert tuples == [(a1, a2)]
+    assert (num, den) == (a1 + a2, a1 * a2)

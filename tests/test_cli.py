@@ -250,6 +250,52 @@ def test_threshold_json_is_json_dump_byte_for_byte(capsys, q_max):
     assert out == _threshold_json_via_json_dump(q_max)
 
 
+def _threshold_csv_via_csv_writer(q_max):
+    """The threshold rows as csv.writer writes them."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["p", "q", "upsilon", "greedy_is_best", "unique", "ties", "losses"])
+    for row in underapprox.threshold_sweep(q_max):
+        writer.writerow(
+            [
+                row["p"],
+                row["q"],
+                row["upsilon"],
+                row["greedy_is_best"],
+                row["unique"],
+                ";".join(f"{a}:{b}" for a, b in row["ties"]),
+                ";".join(f"{a}:{b}" for a, b in row["losses"]),
+            ]
+        )
+    return out.getvalue()
+
+
+# 17 has the 10/17 tie and the first losses; 90 has more rows than one write
+@pytest.mark.parametrize("q_max", [2, 17, 90])
+def test_threshold_csv_is_csv_writer_byte_for_byte(capsys, q_max):
+    code, out, _ = run_cli(capsys, "--format", "csv", "verify", "threshold", "--q-max", str(q_max))
+    assert code == 0
+    assert out == _threshold_csv_via_csv_writer(q_max)
+    assert q_max != 90 or out.count("\n") > cli._ROWS_PER_WRITE + 1
+
+
+def test_threshold_failure_exits_5_in_every_format(capsys, monkeypatch):
+    rows_for_q = underapprox._threshold_rows_for_q
+
+    def broken(q):  # 1/7 has upsilon 1, so greedy must be its unique best
+        rows = rows_for_q(q)
+        if q == 7:
+            rows[0] = {**rows[0], "unique": False}
+        return rows
+
+    monkeypatch.setattr(underapprox, "_threshold_rows_for_q", broken)
+    for fmt in ("json", "csv", "plain"):
+        code, out, _ = run_cli(capsys, "--format", fmt, "verify", "threshold", "--q-max", "20")
+        assert code == cli.EXIT_VERIFY_FAILED, fmt
+        assert out
+    assert out.startswith("FAIL threshold") and "failure at (1, 7)" in out
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 def test_threshold_output_does_not_depend_on_jobs(capsys, fmt):
     argv = ["--format", fmt, "verify", "threshold", "--q-max", "60"]

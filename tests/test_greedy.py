@@ -77,6 +77,18 @@ def test_expand_digit_guard():
     assert len(str(exp.terms[-1])) == 149
 
 
+@pytest.mark.parametrize("guard", [1, 2, 3, 9, 10, 11, 100, 1001, 10_000])
+def test_expand_digit_guard_boundary(guard):
+    # 1/(n - 1) has first term n: 10**g - 1 has g digits, 10**g has g + 1
+    limit = 10**guard
+    assert greedy.expand(Fraction(1, limit - 2), 1, digit_guard=guard).terms == [limit - 1]
+    with pytest.raises(DigitGuardExceeded):
+        greedy.expand(Fraction(1, limit - 1), 1, digit_guard=guard)
+    # the largest power of two below 10**g, where the bit-length test stops deciding
+    top = 1 << (limit.bit_length() - 1)
+    assert greedy.expand(Fraction(1, top - 1), 1, digit_guard=guard).terms == [top]
+
+
 def test_expansion_json_round_trip():
     exp = greedy.expand(Fraction(9, 28), 6)
     payload = exp.to_json_dict()

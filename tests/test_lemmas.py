@@ -3,7 +3,7 @@
 import pytest
 
 from egfrac import lemmas
-from egfrac._kernels_py import lp1_point, lp11_point, lp50_point, lp12_point
+from egfrac._backend import lp1_point, lp11_point, lp50_point, lp12_point
 from egfrac.errors import DomainError
 
 

@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from egfrac import underapprox
+from egfrac import _backend, underapprox
 from egfrac.errors import DomainError, InvariantViolation, SearchInconclusive
 from oracles import branch_and_bound_m_term, naive_best_m_term, reduced_fractions
 
@@ -107,14 +107,14 @@ def test_closing_term_is_exact_and_above_the_error_floor():
         g = gcd(a, b)
         a, b = a // g, b // g
         x = b // a + 1 + rng.choice((0, 1, 2, rng.randint(0, 10**4)))
-        y, num, den = underapprox._closing_term(a, b, x)
+        y, num, den = _backend._closing_term(a, b, x)
         error = Fraction(a, b) - Fraction(1, x) - Fraction(1, y)
         assert error == Fraction(num, den) > 0
         assert y >= x and (y == x or Fraction(1, y - 1) >= Fraction(a, b) - Fraction(1, x))
         d = a * x - b
         if y > x:  # the unconstrained best partner: the closed form of its error
             assert error == Fraction(d - (b * x) % d, b * x * y)
-        g_num, g_den = underapprox._error_floor(a, b, x)
+        g_num, g_den = _backend._error_floor(a, b, x)
         assert Fraction(g_num, g_den) == Fraction(b * b * x * x, d) + b * x
         assert error * Fraction(g_num, g_den) >= 1
 
