@@ -52,8 +52,7 @@ def _reduced(p: int, q: int) -> tuple[int, int]:
 
 
 def _emit_json(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_plain(lines) -> None:
@@ -204,15 +203,15 @@ def _written_as_csv(rows, write):
     """
     lines = []
     for row in rows:
-        ties, losses = row["ties"], row["losses"]
+        p, q, ups, greedy_is_best, unique, ties, losses = row
         lines.append(
             _ROW_CSV
             % (
-                row["p"],
-                row["q"],
-                row["upsilon"],
-                row["greedy_is_best"],
-                row["unique"],
+                p,
+                q,
+                ups,
+                greedy_is_best,
+                unique,
                 _pairs_csv(ties) if ties else "",
                 _pairs_csv(losses) if losses else "",
             )
@@ -225,8 +224,9 @@ def _written_as_csv(rows, write):
         write("".join(lines))
 
 
-# One threshold row as json.dump(..., indent=2) lays it out inside the
-# report's "rows" list: 7 keys in this order, ints, bools, lists of pairs.
+# One threshold row tuple as json.dump(..., indent=2) lays out the object
+# with its 7 fields as keys, in order, inside the report's "rows" list:
+# ints, bools, lists of pairs.
 _ROW_JSON = (
     '\n    {\n      "p": %d,\n      "q": %d,\n      "upsilon": %d,'
     '\n      "greedy_is_best": %s,\n      "unique": %s,'
@@ -243,21 +243,23 @@ def _pairs_json(pairs) -> str:
 
 
 def _row_json(row) -> str:
+    p, q, ups, greedy_is_best, unique, ties, losses = row
     return _ROW_JSON % (
-        row["p"],
-        row["q"],
-        row["upsilon"],
-        _JSON_BOOL[row["greedy_is_best"]],
-        _JSON_BOOL[row["unique"]],
-        _pairs_json(row["ties"]),
-        _pairs_json(row["losses"]),
+        p,
+        q,
+        ups,
+        _JSON_BOOL[greedy_is_best],
+        _JSON_BOOL[unique],
+        _pairs_json(ties),
+        _pairs_json(losses),
     )
 
 
 def _emit_threshold_json(report, rows) -> None:
     """Write ``json.dump({**report, "rows": rows}, indent=2)`` plus a newline.
 
-    The report keys go through ``json.dumps``; the rows, which are most of
+    Each row tuple is written as the object keyed by its field names. The
+    report keys go through ``json.dumps``; the rows, which are most of
     the output, through the fixed-layout encoder above, in large writes.
     """
     write = sys.stdout.write

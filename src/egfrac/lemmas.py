@@ -133,6 +133,10 @@ def verify_lp11(q_max: int, jobs: int = 1) -> VerificationReport:
 
 
 def _point_is_tie_lp11(q: int, u: int, s: int, v: int) -> bool:
+    """True when the two sides of the offset-3 inequality agree exactly.
+
+    lp50 is the case s = 1, v = 3, so its ties are decided here too.
+    """
     lhs = (q * u * (u + s)) // (s * (q + 3) + 3 * u)
     num = (q * u + v) * u * (u + s)
     den = s * q * u + v * s + 3 * u * (u + s)
@@ -162,7 +166,7 @@ def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
     points = sum(r[0] for r in results)
     failures = sorted(f for r in results for f in r[1])
     observations = [
-        {"q": q, "u": u, "holds": False, "equality": _lp50_is_tie(q, u)}
+        {"q": q, "u": u, "holds": False, "equality": _point_is_tie_lp11(q, u, 1, 3)}
         for (q, u) in failures
     ]
     return VerificationReport(
@@ -173,13 +177,6 @@ def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
         expected_exceptions=list(OFFSET3_EXPECTED_EXCEPTIONS),
         observations=observations,
     )
-
-
-def _lp50_is_tie(q: int, u: int) -> bool:
-    lhs = (q * u * (u + 1)) // (q + 3 * (u + 1))
-    num = (q * u + 3) * u * (u + 1)
-    den = q * u + 3 + 3 * u * (u + 1)
-    return (lhs + 1) * den == num
 
 
 def verify_lp12() -> VerificationReport:

@@ -304,33 +304,32 @@ def muirhead_certificate(x: Sequence[int], a: Sequence[int]) -> bool:
     return True
 
 
-def _threshold_rows_for_q(q: int) -> list[dict]:
+def _threshold_rows_for_q(q: int) -> list[tuple]:
     scan = _backend.two_term_scan
     rows = []
     for p in range(1, q):
         if gcd(p, q) != 1:
             continue
         a1, a2, _, _, tuples = scan(p, q)
+        unique = len(tuples) == 1
         # every optimal pair with x1 = a1 is the greedy pair, and none has x1 < a1
-        greedy_is_best = tuples[0] == (a1, a2)
-        ties = tuples[1:] if greedy_is_best else []
-        losses = [] if greedy_is_best else tuples
-        rows.append(
-            {
-                "p": p,
-                "q": q,
-                "upsilon": upsilon(p, q),
-                "greedy_is_best": greedy_is_best,
-                "unique": len(tuples) == 1,
-                "ties": ties,
-                "losses": losses,
-            }
-        )
+        if tuples[0] == (a1, a2):
+            ties = () if unique else tuple(tuples[1:])
+            rows.append((p, q, upsilon(p, q), True, unique, ties, ()))
+        else:
+            rows.append((p, q, upsilon(p, q), False, unique, (), tuple(tuples)))
     return rows
 
 
-def threshold_sweep(q_max: int, jobs: int = 1) -> Iterator[dict]:
+def threshold_sweep(q_max: int, jobs: int = 1) -> Iterator[tuple]:
     """Two-term search rows for every reduced p/q with p < q <= q_max.
+
+    Each row is a plain tuple
+    ``(p, q, upsilon, greedy_is_best, unique, ties, losses)``: ``ties`` are
+    the optimal pairs (x1, x2) other than the greedy pair when greedy is
+    optimal, ``losses`` every optimal pair when it is not, each a tuple of
+    pairs and ``()`` when there are none. Plain tuples keep the rows cheap
+    to build, to pickle between ``--jobs`` workers, and to unpack.
 
     Rows are yielded one at a time, ordered by (q, p) regardless of worker
     count; with ``jobs > 1`` they are yielded as the workers' chunks
@@ -367,32 +366,31 @@ def verify_threshold_sweep(q_max: int, jobs: int = 1) -> VerificationReport:
     return verify_threshold_rows(threshold_sweep(q_max, jobs=jobs), q_max)
 
 
-def verify_threshold_rows(rows: Iterable[dict], q_max: int) -> VerificationReport:
+def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationReport:
     """The threshold check applied to sweep rows, in a single pass."""
     failures: list[tuple] = []
     observations: list[dict] = []
     points = 0
-    for row in rows:
+    for p, q, ups, greedy_is_best, unique, ties, losses in rows:
         points += 1
-        p, q = row["p"], row["q"]
-        if row["upsilon"] <= 3:
+        if ups <= 3:
             if (p, q) == TIE_POINT:
-                if row["greedy_is_best"] and row["ties"] == [tuple(TIE_SET[1])]:
+                if greedy_is_best and ties == tuple(TIE_SET[1:]):
                     observations.append(
                         {"p": p, "q": q, "kind": "tie", "ties": [list(t) for t in TIE_SET]}
                     )
                 else:
                     failures.append((p, q))
-            elif not (row["greedy_is_best"] and row["unique"]):
+            elif not (greedy_is_best and unique):
                 failures.append((p, q))
-        elif not row["greedy_is_best"]:
+        elif not greedy_is_best:
             observations.append(
                 {
                     "p": p,
                     "q": q,
                     "kind": "loss",
-                    "upsilon": row["upsilon"],
-                    "losses": [list(t) for t in row["losses"]],
+                    "upsilon": ups,
+                    "losses": [list(t) for t in losses],
                 }
             )
     return VerificationReport(

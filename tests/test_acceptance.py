@@ -61,14 +61,15 @@ def test_criterion_2_two_term_threshold():
         start = time.perf_counter()
         rows = underapprox.threshold_sweep(200, jobs=1)
         for row in rows:
-            if row["upsilon"] > 3:
+            p, q, ups, greedy_is_best, unique, ties, _ = row
+            if ups > 3:
                 continue
-            assert row["greedy_is_best"], row
-            if (row["p"], row["q"]) == (10, 17):
-                assert not row["unique"]
-                assert row["ties"] == [(3, 4)]
+            assert greedy_is_best, row
+            if (p, q) == (10, 17):
+                assert not unique
+                assert ties == ((3, 4),)
             else:
-                assert row["unique"], row
+                assert unique, row
         assert time.perf_counter() - start < 30.0
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from egfrac import _pool, cli, greedy, underapprox
+from egfrac import _pool, cli, greedy, lemmas, underapprox
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -222,21 +222,49 @@ def test_deterministic_output(capsys):
     assert out1 == out3
 
 
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["verify", "lp1", "--q-max", "60"], lambda: lemmas.verify_lp1(60).to_json_dict()),
+        (
+            ["best", "5", "16", "--m", "5"],
+            lambda: underapprox.best_m_term(Fraction(5, 16), 5).to_json_dict(),
+        ),
+    ],
+)
+def test_json_report_is_json_dumps_in_one_write(monkeypatch, argv, payload):
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv) == 0
+    assert out.getvalue() == json.dumps(payload(), indent=2) + "\n"
+    assert out.writes == 1
+
+
 def _threshold_json_via_json_dump(q_max):
     """The threshold report built as a dict and encoded by json.dumps."""
     rows = list(underapprox.threshold_sweep(q_max))
     payload = underapprox.verify_threshold_rows(rows, q_max).to_json_dict()
     payload["rows"] = [
         {
-            "p": row["p"],
-            "q": row["q"],
-            "upsilon": row["upsilon"],
-            "greedy_is_best": row["greedy_is_best"],
-            "unique": row["unique"],
-            "ties": [list(t) for t in row["ties"]],
-            "losses": [list(t) for t in row["losses"]],
+            "p": p,
+            "q": q,
+            "upsilon": ups,
+            "greedy_is_best": greedy_is_best,
+            "unique": unique,
+            "ties": [list(t) for t in ties],
+            "losses": [list(t) for t in losses],
         }
-        for row in rows
+        for p, q, ups, greedy_is_best, unique, ties, losses in rows
     ]
     return json.dumps(payload, indent=2) + "\n"
 
@@ -255,16 +283,16 @@ def _threshold_csv_via_csv_writer(q_max):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["p", "q", "upsilon", "greedy_is_best", "unique", "ties", "losses"])
-    for row in underapprox.threshold_sweep(q_max):
+    for p, q, ups, greedy_is_best, unique, ties, losses in underapprox.threshold_sweep(q_max):
         writer.writerow(
             [
-                row["p"],
-                row["q"],
-                row["upsilon"],
-                row["greedy_is_best"],
-                row["unique"],
-                ";".join(f"{a}:{b}" for a, b in row["ties"]),
-                ";".join(f"{a}:{b}" for a, b in row["losses"]),
+                p,
+                q,
+                ups,
+                greedy_is_best,
+                unique,
+                ";".join(f"{a}:{b}" for a, b in ties),
+                ";".join(f"{a}:{b}" for a, b in losses),
             ]
         )
     return out.getvalue()
@@ -285,7 +313,7 @@ def test_threshold_failure_exits_5_in_every_format(capsys, monkeypatch):
     def broken(q):  # 1/7 has upsilon 1, so greedy must be its unique best
         rows = rows_for_q(q)
         if q == 7:
-            rows[0] = {**rows[0], "unique": False}
+            rows[0] = rows[0][:4] + (False,) + rows[0][5:]
         return rows
 
     monkeypatch.setattr(underapprox, "_threshold_rows_for_q", broken)

@@ -1,5 +1,7 @@
 """Floor-inequality sweeps, their exceptional points, and proof sub-facts."""
 
+from fractions import Fraction
+
 import pytest
 
 from egfrac import lemmas
@@ -46,6 +48,30 @@ def test_lp50_sweep_and_spot_points():
     assert all(not o["equality"] for o in report.observations)
     assert lp50_point(13, 4)
     assert not lp50_point(17, 2)
+
+
+def _lp50_tie_by_fractions(q, u):
+    """lp50's two sides, floor(qu(u+1)/(q+3(u+1))) and
+    (qu+3)u(u+1)/(qu+3+3u(u+1)) - 1, agree exactly."""
+    floor_side = q * u * (u + 1) // (q + 3 * (u + 1))
+    other_side = Fraction((q * u + 3) * u * (u + 1), q * u + 3 + 3 * u * (u + 1)) - 1
+    return floor_side == other_side
+
+
+def test_lp50_ties_are_offset3_ties_at_s1_v3():
+    for q in range(5, 2001):
+        for u in range(2, (q + 3) // 4 + 1):
+            if (q + 3) % u == 0:
+                assert lemmas._point_is_tie_lp11(q, u, 1, 3) == _lp50_tie_by_fractions(q, u)
+    # the lp50 box has no ties; off the box there are, and they agree too
+    grid = [(q, u) for q in range(1, 301) for u in range(1, 101)]
+    ties = {qu for qu in grid if _lp50_tie_by_fractions(*qu)}
+    assert len(ties) > 100
+    assert all(lemmas._point_is_tie_lp11(q, u, 1, 3) == ((q, u) in ties) for q, u in grid)
+    assert lemmas.verify_lp50(100).observations == [
+        {"q": 17, "u": 2, "holds": False, "equality": False},
+        {"q": 61, "u": 8, "holds": False, "equality": False},
+    ]
 
 
 def test_lp12_report():

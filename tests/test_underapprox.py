@@ -218,14 +218,31 @@ def test_muirhead_certificate_random_pairs():
 
 def test_threshold_sweep_rows_and_flags():
     rows = underapprox.threshold_sweep(17)
-    by_pq = {(r["p"], r["q"]): r for r in rows}
-    tie_row = by_pq[(10, 17)]
-    assert tie_row["greedy_is_best"] and not tie_row["unique"]
-    assert tie_row["ties"] == [(3, 4)]
-    loss_row = by_pq[(5, 16)]
-    assert not loss_row["greedy_is_best"]
-    assert loss_row["losses"] == [(5, 9)]
-    assert loss_row["upsilon"] == 4
+    by_pq = {(r[0], r[1]): r for r in rows}
+    _, _, _, greedy_is_best, unique, ties, _ = by_pq[(10, 17)]
+    assert greedy_is_best and not unique
+    assert ties == ((3, 4),)
+    _, _, ups, greedy_is_best, _, _, losses = by_pq[(5, 16)]
+    assert not greedy_is_best
+    assert losses == ((5, 9),)
+    assert ups == 4
+
+
+def test_threshold_rows_are_plain_tuples_serial_and_pooled():
+    serial = list(underapprox.threshold_sweep(90))
+    pooled = list(underapprox.threshold_sweep(90, jobs=2))
+    for rows in (serial, pooled):
+        for row in rows:
+            assert type(row) is tuple and len(row) == 7
+            for pairs in row[5:]:
+                assert type(pairs) is tuple
+                for pair in pairs:
+                    assert type(pair) is tuple and len(pair) == 2
+                    assert all(type(x) is int for x in pair)
+        by_pq = {(r[0], r[1]): r for r in rows}
+        assert by_pq[(10, 17)][5] == ((3, 4),)
+        assert by_pq[(5, 16)][6] == ((5, 9),)
+    assert serial == pooled
 
 
 def test_verify_threshold_sweep_small():
@@ -253,7 +270,7 @@ def test_threshold_sweep_closed_early_cancels_pending_chunks():
     # the full sweep to q = 3000 takes tens of seconds on two workers
     rows = underapprox.threshold_sweep(3000, jobs=2)
     first = [row for _, row in zip(range(5), rows)]
-    assert [(r["p"], r["q"]) for r in first] == [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]
+    assert [(r[0], r[1]) for r in first] == [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]
     start = time.perf_counter()
     rows.close()
     assert time.perf_counter() - start < 5.0
