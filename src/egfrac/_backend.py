@@ -97,28 +97,34 @@ def lp1_point(q: int, u: int, s: int, v: int) -> bool:
     """Point check of the divisor-offset-2 floor inequality.
 
     floor(qu(u+s) / (s(q+2)+2u)) > (qu+v)u(u+s) / (squ+vs+2u(u+s)) - 1,
-    decided exactly by cross-multiplication.
+    decided exactly by cross-multiplication. With b = u(u+s) and
+    t = qu+v the right side is t*b / (s*t + 2b), so both products are
+    formed once.
     """
-    lhs = (q * u * (u + s)) // (s * (q + 2) + 2 * u)
-    num = (q * u + v) * u * (u + s)
-    den = s * q * u + v * s + 2 * u * (u + s)
-    return (lhs + 1) * den > num
+    b = u * (u + s)
+    t = q * u + v
+    lhs = q * b // (s * (q + 2) + 2 * u)
+    return (lhs + 1) * (s * t + 2 * b) > t * b
 
 
 def lp11_point(q: int, u: int, s: int, v: int) -> bool:
-    """Point check of the divisor-offset-3 floor inequality (general s)."""
-    lhs = (q * u * (u + s)) // (s * (q + 3) + 3 * u)
-    num = (q * u + v) * u * (u + s)
-    den = s * q * u + v * s + 3 * u * (u + s)
-    return (lhs + 1) * den > num
+    """Point check of the divisor-offset-3 floor inequality (general s).
+
+    The offset-3 form of ``lp1_point``: floor(q*b / (s(q+3)+3u)) >
+    t*b / (s*t + 3b) - 1 with b = u(u+s), t = qu+v.
+    """
+    b = u * (u + s)
+    t = q * u + v
+    lhs = q * b // (s * (q + 3) + 3 * u)
+    return (lhs + 1) * (s * t + 3 * b) > t * b
 
 
 def lp50_point(q: int, u: int) -> bool:
     """Point check of the divisor-offset-3 inequality at s = 1, v = 3."""
-    lhs = (q * u * (u + 1)) // (q + 3 * (u + 1))
-    num = (q * u + 3) * u * (u + 1)
-    den = q * u + 3 + 3 * u * (u + 1)
-    return (lhs + 1) * den > num
+    b = u * (u + 1)
+    t = q * u + 3
+    lhs = q * b // (q + 3 * (u + 1))
+    return (lhs + 1) * (t + 3 * b) > t * b
 
 
 def lp12_point(s: int) -> bool:

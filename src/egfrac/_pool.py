@@ -3,6 +3,13 @@
 ``worker_count`` is the one place a ``jobs`` value is checked; ``ordered_map``
 is the one place a process pool is made. Results come back in input order,
 so the number of workers never changes what a sweep returns.
+
+The pool is a ``concurrent.futures.ProcessPoolExecutor``, imported only
+when a sweep runs with more than one job, so a serial run never loads it
+(or the ``logging`` it imports). ``multiprocessing.Pool`` imports about
+5 ms faster, but a worker that dies (killed, or out of memory) leaves its
+chunk unanswered there and the sweep waits forever; the executor raises
+``BrokenProcessPool`` instead.
 """
 
 from __future__ import annotations
@@ -36,10 +43,25 @@ def ordered_map(worker: Callable, items: Iterable, jobs: int, chunksize: int) ->
     if jobs == 1:
         yield from map(worker, items)
         return
+    import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    # Ctrl-C reaches every process in the group. A worker interrupted while
+    # it holds the result queue's lock never releases it, and the shutdown
+    # below then waits forever; so only the caller takes the interrupt. It
+    # is held back while map() starts the workers: there it could be lost
+    # in a fork hook, or leave workers running that shutdown cannot stop.
+    pool = ProcessPoolExecutor(
+        max_workers=jobs, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    )
+    sigmask = getattr(signal, "pthread_sigmask", None)  # POSIX only
     try:
-        yield from pool.map(worker, items, chunksize=chunksize)
+        held = sigmask and sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            results = pool.map(worker, items, chunksize=chunksize)
+        finally:
+            if sigmask:
+                sigmask(signal.SIG_SETMASK, held)
+        yield from results
     finally:
         pool.shutdown(wait=True, cancel_futures=True)

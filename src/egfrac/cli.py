@@ -15,10 +15,10 @@ closed by its reader before the output was written (nothing on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from contextlib import closing
 from fractions import Fraction
 from math import gcd
 
@@ -61,6 +61,8 @@ def _emit_plain(lines) -> None:
 
 
 def _emit_csv(header, rows) -> None:
+    import csv  # only phi-samples writes through csv.writer
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -109,7 +111,9 @@ def cmd_best(args) -> int:
 
 def cmd_step(args) -> int:
     p, q = _reduced(args.p, args.q)
-    report = greedy.step_report(Fraction(p, q), args.m, args.n)
+    report = greedy.step_report(
+        Fraction(p, q), args.m, args.n, digit_guard=DEFAULT_DIGIT_GUARD
+    )
     if args.format == "plain":
         _emit_plain(
             [
@@ -285,19 +289,23 @@ def cmd_verify(args) -> int:
         reports.append(lemmas.verify_lp50(args.q_max, jobs=jobs))
     elif suite == "threshold":
         rows = underapprox.threshold_sweep(args.q_max, jobs=jobs)
-        if args.format == "csv":
-            sys.stdout.write(_THRESHOLD_CSV_HEADER)
-            report = underapprox.verify_threshold_rows(
-                _written_as_csv(rows, sys.stdout.write), args.q_max
-            )
-            return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-        if args.format == "json":
-            rows = list(rows)  # the report's keys are written before its rows
-        report = underapprox.verify_threshold_rows(rows, args.q_max)
-        if args.format == "json":
-            _emit_threshold_json(report, rows)
-            return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-        reports.append(report)
+        # Closed on any exit: an exception raised while a row is checked or
+        # written (Ctrl-C, say) would otherwise keep the pool running until
+        # the interpreter exits.
+        with closing(rows):
+            if args.format == "csv":
+                sys.stdout.write(_THRESHOLD_CSV_HEADER)
+                report = underapprox.verify_threshold_rows(
+                    _written_as_csv(rows, sys.stdout.write), args.q_max
+                )
+                return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+            if args.format == "json":
+                rows = list(rows)  # the report's keys are written before its rows
+            report = underapprox.verify_threshold_rows(rows, args.q_max)
+            if args.format == "json":
+                _emit_threshold_json(report, rows)
+                return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+            reports.append(report)
     elif suite == "claims":
         for claim in ("cls1", "cls2", "cll5"):
             reports.append(counterexamples.check_fractional_claims(claim, args.j_max))
@@ -406,6 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Denominators within the digit guard run to 10,000 digits, beyond
+    # CPython's default 4,300-digit limit on int -> str (3.10.7 and later).
+    set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_int_max_str_digits is not None:
+        set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at exit

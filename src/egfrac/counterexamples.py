@@ -22,9 +22,8 @@ the floor in the inequality computable in closed form on each family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import rational
 from .errors import DomainError, InvariantViolation
@@ -40,8 +39,7 @@ TABLE_1 = {6: 8, 10: 11, 14: 12, 18: 12, 22: 12, 26: 15, 30: 16, 34: 16, 38: 16,
 TABLE_2 = {7: 8, 11: 13, 15: 12, 19: 12, 23: 12}
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """A fraction p/q with upsilon(p, q) = k whose greedy pair is beaten.
 
     ``s`` is the bracket parameter behind the choice of v; None when v

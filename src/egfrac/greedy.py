@@ -24,10 +24,9 @@ floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import rational
 from .errors import DigitGuardExceeded, DomainError, InvariantViolation
@@ -85,15 +84,31 @@ def greedy_steps(theta: Fraction) -> Iterator[tuple[int, Fraction]]:
     (reduced) numerator of theta, only denominators explode.
     """
     _require_unit_interval(theta)
+    yield from _guarded_steps(theta, None)
+
+
+def _guarded_steps(theta: Fraction, digit_guard: Optional[int]) -> Iterator[tuple[int, Fraction]]:
+    """``greedy_steps`` with a cap on the denominators' length.
+
+    Raises DigitGuardExceeded, before any arithmetic on it, once a
+    denominator a_m has more than ``digit_guard`` decimal digits; None
+    means no cap.
+    """
+    # a below 2**safe_bits has at most digit_guard digits, since
+    # 3.321928 < log2(10); only a longer a is compared with 10**digit_guard
+    safe_bits = digit_guard * 3321928 // 10**6 if digit_guard is not None else None
     e = theta
+    step = 0
     while True:
+        step += 1
         a = e.denominator // e.numerator + 1
+        if safe_bits is not None and a.bit_length() > safe_bits and a >= 10**digit_guard:
+            raise DigitGuardExceeded(step, digit_guard)
         e = e - Fraction(1, a)
         yield a, e
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """A greedy expansion prefix: target, denominators a_1..a_m, exact error.
 
     ``recurrence_start`` is the smallest 1-based index j such that every
@@ -135,17 +150,9 @@ def expand(theta: Fraction, m: int, digit_guard: Optional[int] = None) -> Expans
     _require_unit_interval(theta)
     if m < 1:
         raise DomainError("term count must be >= 1")
-    # a below 2**safe_bits has at most digit_guard digits, since
-    # 3.321928 < log2(10); only a longer a is compared with 10**digit_guard
-    safe_bits = digit_guard * 3321928 // 10**6 if digit_guard is not None else None
     terms: list[int] = []
-    e = theta
-    for step in range(1, m + 1):
-        a = e.denominator // e.numerator + 1
-        if safe_bits is not None and a.bit_length() > safe_bits and a >= 10**digit_guard:
-            raise DigitGuardExceeded(step, digit_guard)
+    for _, (a, e) in zip(range(m), _guarded_steps(theta, digit_guard)):
         terms.append(a)
-        e = e - Fraction(1, a)
     return Expansion(theta, terms, e, _observed_recurrence_start(terms))
 
 
@@ -195,8 +202,7 @@ def _require_reduced(p: int, q: int) -> None:
         raise DomainError(f"{p}/{q} is not in lowest terms")
 
 
-@dataclass(frozen=True)
-class UpsilonProfile:
+class UpsilonProfile(NamedTuple):
     """Divisibility profile of a reduced fraction p/q in (0, 1].
 
     ``family`` tags which closed-form expansion family applies (the
@@ -241,8 +247,7 @@ def upsilon_profile(p: int, q: int) -> UpsilonProfile:
     return UpsilonProfile(p, q, ups, ell_index(p, q), delta_index(p, q), family)
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """The four equivalent step conditions, evaluated exactly.
 
     For the m-th step and numerator n, the conditions are
@@ -283,12 +288,18 @@ class StepReport:
         }
 
 
-def step_report(theta: Fraction, m: int, n: int) -> StepReport:
-    """Evaluate conditions i)-iv) at step m for numerator n and check they agree."""
+def step_report(
+    theta: Fraction, m: int, n: int, digit_guard: Optional[int] = None
+) -> StepReport:
+    """Evaluate conditions i)-iv) at step m for numerator n and check they agree.
+
+    ``digit_guard`` caps every denominator a_1..a_{m+1} as in ``expand``;
+    the library default is unlimited.
+    """
     _require_unit_interval(theta)
     if m < 1 or n < 1:
         raise DomainError("m and n must be positive integers")
-    steps = greedy_steps(theta)
+    steps = _guarded_steps(theta, digit_guard)
     e_before = theta  # ends as e_{m-1}
     e_after = theta
     a_m = 0

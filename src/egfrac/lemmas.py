@@ -137,10 +137,10 @@ def _point_is_tie_lp11(q: int, u: int, s: int, v: int) -> bool:
 
     lp50 is the case s = 1, v = 3, so its ties are decided here too.
     """
-    lhs = (q * u * (u + s)) // (s * (q + 3) + 3 * u)
-    num = (q * u + v) * u * (u + s)
-    den = s * q * u + v * s + 3 * u * (u + s)
-    return (lhs + 1) * den == num
+    b = u * (u + s)
+    t = q * u + v
+    lhs = q * b // (s * (q + 3) + 3 * u)
+    return (lhs + 1) * (s * t + 3 * b) == t * b
 
 
 def _lp50_scan_q(q: int) -> tuple[int, list[tuple]]:

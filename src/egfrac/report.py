@@ -10,18 +10,17 @@ many workers ran the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     lemma_id: str
     range_descr: str
     points_checked: int
     failures: list[tuple]
     expected_exceptions: list[tuple]
     # verdicts recorded at exceptional or otherwise notable points
-    observations: list[dict] = field(default_factory=list)
+    observations: Sequence[dict] = ()
 
     @property
     def passed(self) -> bool:

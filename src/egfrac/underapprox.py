@@ -28,10 +28,9 @@ exposed as filters so sweeps can assert them against search output.
 from __future__ import annotations
 
 from contextlib import closing
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import _backend, rational
 from ._backend import _closing_term, _error_floor
@@ -41,13 +40,16 @@ from .greedy import expand, upsilon
 from .report import VerificationReport
 
 
-@dataclass(frozen=True)
-class UnderapproxResult:
+class UnderapproxResult(NamedTuple):
     """Outcome of a complete best m-term search.
 
     ``optimal_tuples`` holds every maximizing nondecreasing tuple, sorted
     and duplicate-free; ``greedy_is_best`` iff the optimum equals the
     greedy sum, ``unique`` iff there is exactly one maximizer.
+
+    ``nodes_per_level`` and ``pruned_per_level`` describe the search's
+    effort, not its answer: they are left out of equality and of the
+    JSON form.
     """
 
     theta: Fraction
@@ -58,8 +60,15 @@ class UnderapproxResult:
     optimal_sum: Fraction
     greedy_is_best: bool
     unique: bool
-    nodes_per_level: tuple[int, ...] = field(default=(), compare=False)
-    pruned_per_level: tuple[int, ...] = field(default=(), compare=False)
+    nodes_per_level: tuple[int, ...] = ()
+    pruned_per_level: tuple[int, ...] = ()
+
+    # tuple.__ne__ would compare the counts too, so both are defined
+    def __eq__(self, other):
+        return isinstance(other, UnderapproxResult) and self[:8] == other[:8]
+
+    def __ne__(self, other):
+        return not self == other
 
     def to_json_dict(self) -> dict:
         return {

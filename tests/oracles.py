@@ -12,7 +12,9 @@ largest feasible unit fraction.
 last two levels got a closed form and an error bound: every x_{m-1} in
 the level's range is tried. It is the reference for m = 4.
 ``two_term_scan`` is, in the same way, the two-term kernel before its x1
-range could close early: every x1 up to floor(2/S) is tried.
+range could close early: every x1 up to floor(2/S) is tried. The
+``lp*`` functions are the lemma kernels as first written, each side of
+the inequality multiplied out on its own.
 """
 
 from __future__ import annotations
@@ -171,6 +173,34 @@ def two_term_scan(p: int, q: int) -> tuple[int, int, int, int, list[tuple[int, i
 
     g = gcd(best_num, best_den)
     return a1, a2, best_num // g, best_den // g, sorted(found)
+
+
+def lp1_point(q: int, u: int, s: int, v: int) -> bool:
+    lhs = (q * u * (u + s)) // (s * (q + 2) + 2 * u)
+    num = (q * u + v) * u * (u + s)
+    den = s * q * u + v * s + 2 * u * (u + s)
+    return (lhs + 1) * den > num
+
+
+def lp11_point(q: int, u: int, s: int, v: int) -> bool:
+    lhs = (q * u * (u + s)) // (s * (q + 3) + 3 * u)
+    num = (q * u + v) * u * (u + s)
+    den = s * q * u + v * s + 3 * u * (u + s)
+    return (lhs + 1) * den > num
+
+
+def lp11_is_tie(q: int, u: int, s: int, v: int) -> bool:
+    lhs = (q * u * (u + s)) // (s * (q + 3) + 3 * u)
+    num = (q * u + v) * u * (u + s)
+    den = s * q * u + v * s + 3 * u * (u + s)
+    return (lhs + 1) * den == num
+
+
+def lp50_point(q: int, u: int) -> bool:
+    lhs = (q * u * (u + 1)) // (q + 3 * (u + 1))
+    num = (q * u + 3) * u * (u + 1)
+    den = q * u + 3 + 3 * u * (u + 1)
+    return (lhs + 1) * den > num
 
 
 def reduced_fractions(q_max: int):

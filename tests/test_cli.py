@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -114,6 +115,60 @@ def test_step_command(capsys):
     payload = json.loads(out)
     assert payload["cond_i"] is False
     assert payload["b_m"] == "15"
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """CPython's default 4,300-digit int -> str limit, restored afterwards."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # before 3.10.7 there is no limit
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _decimal(n: int) -> str:
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is None:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_denominators_past_the_int_str_limit_are_printed(capsys, default_int_str_limit):
+    # 5/16's a_15 has 9,976 digits: inside the 10,000-digit guard, past 4,300
+    terms = greedy.expand(Fraction(5, 16), 15).terms
+    a15 = _decimal(terms[14])
+    assert len(a15) == 9976
+    code, out, err = run_cli(capsys, "expand", "5", "16", "--m", "15")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["terms"][14] == a15
+    code, out, err = run_cli(capsys, "--format", "plain", "expand", "5", "16", "--m", "15")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split()[-1] == a15
+    code, out, err = run_cli(capsys, "step", "5", "16", "--m", "14", "--n", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["a_m"] == _decimal(terms[13])
+
+
+def test_step_is_digit_guarded(capsys):
+    # step m needs a_{m+1}: a_15 fits the default guard, a_16 does not
+    code, _, _ = run_cli(capsys, "step", "5", "16", "--m", "14", "--n", "2")
+    assert code == 0
+    code, out, err = run_cli(capsys, "step", "5", "16", "--m", "15", "--n", "2")
+    assert (code, out) == (3, "") and "digit guard" in err
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "step", "5", "16", "--m", "25", "--n", "2")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "") and "digit guard" in err
 
 
 def test_upsilon_command(capsys):
@@ -379,3 +434,95 @@ def test_closed_stdout_exits_quietly():
         proc.kill()
     assert code == cli.EXIT_BROKEN_PIPE
     assert err == b""
+
+
+# what start-up must not import: dataclasses pulls in inspect and ast,
+# concurrent.futures pulls in logging
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "concurrent.futures", "logging")
+
+
+def _cli_env():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    return env
+
+
+def _modules_loaded_by(code: str) -> set:
+    """Modules that ``code`` adds to a fresh interpreter's ``sys.modules``."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "sys.stdout.flush()\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_cli_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_start_up_imports_stay_light():
+    loaded = _modules_loaded_by("import egfrac.cli")
+    assert "egfrac.cli" in loaded
+    assert loaded.isdisjoint(HEAVY_MODULES), sorted(loaded & set(HEAVY_MODULES))
+    # the process pool is imported by --jobs > 1 only
+    argv = ["--format", "csv", "verify", "threshold", "--q-max", "30"]
+    loaded = _modules_loaded_by(
+        f"from egfrac.cli import main\nassert main({argv!r}) == 0"
+    )
+    assert "egfrac.underapprox" in loaded
+    assert loaded.isdisjoint({"concurrent.futures", "logging"}), loaded
+
+
+two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+
+
+@two_cpus
+def test_sweep_fails_fast_when_a_worker_dies():
+    # a worker killed mid-sweep (say by the OOM killer) must end the sweep
+    # with an error, not leave it waiting for the lost chunk
+    script = (
+        "import multiprocessing, os, signal\n"
+        "from egfrac import underapprox\n"
+        "rows = underapprox.threshold_sweep(3000, jobs=2)\n"
+        "next(rows)\n"
+        "os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)\n"
+        "try:\n"
+        "    for _ in rows:\n"
+        "        pass\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_cli_env(), capture_output=True, text=True, timeout=30
+    )
+    assert proc.stdout == "BrokenProcessPool\n", proc.stderr
+
+
+# The header is flushed just before the workers are forked, and the first
+# row once they run: Ctrl-C after the one lands while the pool starts, after
+# the other while it runs.
+@two_cpus
+@pytest.mark.parametrize("lines_before", [1, 2])
+def test_ctrl_c_ends_a_pooled_sweep(lines_before):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "egfrac.cli", "--format", "csv",
+         "verify", "threshold", "--q-max", "3000", "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(), start_new_session=True,
+    )
+    try:
+        expected = [b"p,q,upsilon,greedy_is_best,unique,ties,losses\n", b"1,2,1,True,True,,\n"]
+        expected = expected[:lines_before]
+        assert [proc.stdout.readline() for _ in expected] == expected
+        os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C sends: parent and workers
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == -signal.SIGINT, err[-500:]
+    assert b"KeyboardInterrupt" in err
+    with pytest.raises(ProcessLookupError):  # no worker left in the process group
+        os.killpg(proc.pid, 0)
