@@ -6,9 +6,11 @@ lemma point is one ``lp*_point`` call. Everything here is integer-only
 a sweep over millions of points never allocates a Fraction, and every
 function is exact for arbitrarily large inputs.
 
-``_closing_term`` and ``_error_floor`` are the last-two-level solver
-shared with ``underapprox.best_m_term``, whose docstring holds the proof
-that the error floor may close the range.
+``_closing_term`` and ``_error_floor`` are the last-two-level solver of
+``underapprox.best_m_term``, whose docstring holds the proof that the
+error floor may close the range. ``two_term_scan`` is the same solver at
+m = 2 and partial sum 0 with both helpers written out, so that each x1
+forms its products once.
 """
 
 from __future__ import annotations
@@ -53,29 +55,41 @@ def two_term_scan(p: int, q: int) -> tuple[int, int, int, int, list[tuple[int, i
     pair, best_num/best_den the optimal sum in lowest terms, and tuples
     the sorted list of every optimal pair (x1 <= x2), ties included.
 
-    This is the last-two-level solver of ``best_m_term`` at partial sum 0.
-    Each x1 > a1 gets its best partner from ``_closing_term``. The x1
+    This is the last-two-level solver of ``best_m_term`` at m = 2 and
+    partial sum s = 0, with ``_closing_term`` and ``_error_floor`` written
+    out so that each x1 = x forms d = p*x - q and bx = q*x once (at
+    x = a1, d is upsilon(p, q)). The best partner of x is
+    y = max(x, bx//d + 1), with error (d*y - bx)/(bx*y), and every pair
+    (x, y) misses by at least 1/g(x) with g(x) = bx*(bx + d)/d. The x1
     range is [a1, floor(2/B)] for the incumbent sum B, and it closes
     early once the error floor 1/max(g(x1), g(floor(2/B))) is strictly
     above the incumbent's error p/q - B, so ties are still found. The
     bound and the incumbent's error are recomputed whenever B improves.
     """
     a1 = q // p + 1
-    a2, e_num, e_den = _closing_term(p, q, a1)
+    d = p * a1 - q
+    bx = q * a1
+    a2 = bx // d + 1  # > a1, as p/q - 1/a1 <= 1/a1
+    e_num, e_den = d * a2 - bx, bx * a2
     b1, b2 = a1, a2
     found = [(a1, a2)]
     upper = 2 * a1 * a2 // (a1 + a2)
     far = None  # 1/g(upper) > p/q - B, computed once the range is entered
     x = a1 + 1
     while x <= upper:
+        d = p * x - q
+        bx = q * x
         if far is None:
-            g_num, g_den = _error_floor(p, q, upper)
-            far = g_num * e_num < g_den * e_den
-        if far:
-            g_num, g_den = _error_floor(p, q, x)
-            if g_num * e_num < g_den * e_den:
-                break
-        y, num, den = _closing_term(p, q, x)
+            du = p * upper - q
+            bu = q * upper
+            far = bu * (bu + du) * e_num < du * e_den
+        if far and bx * (bx + d) * e_num < d * e_den:
+            break
+        y = bx // d + 1
+        if y < x:
+            y = x
+        num = d * y - bx
+        den = bx * y
         lhs = num * e_den
         rhs = e_num * den
         if lhs < rhs:

@@ -193,6 +193,8 @@ _ROWS_PER_WRITE = 2048  # threshold rows encoded per stdout write
 # needs quoting (ints, True/False, "a:b;c:d" pair lists).
 _THRESHOLD_CSV_HEADER = "p,q,upsilon,greedy_is_best,unique,ties,losses\n"
 _ROW_CSV = "%d,%d,%d,%s,%s,%s,%s\n"
+# A row where greedy is the unique best: it has no ties and no losses.
+_PLAIN_ROW_CSV = "%d,%d,%d,True,True,,\n"
 
 
 def _pairs_csv(pairs) -> str:
@@ -202,24 +204,29 @@ def _pairs_csv(pairs) -> str:
 def _written_as_csv(rows, write):
     """Yield each row unchanged, writing its csv line as it goes by.
 
-    Lines are written 2048 at a time; the last, partial batch is written
-    when the rows run out.
+    A row where greedy is the unique best, most rows, fills the fixed
+    ``_PLAIN_ROW_CSV`` with its first three fields; any other row goes
+    through ``_ROW_CSV``. Lines are written 2048 at a time; the last,
+    partial batch is written when the rows run out.
     """
     lines = []
     for row in rows:
         p, q, ups, greedy_is_best, unique, ties, losses = row
-        lines.append(
-            _ROW_CSV
-            % (
-                p,
-                q,
-                ups,
-                greedy_is_best,
-                unique,
-                _pairs_csv(ties) if ties else "",
-                _pairs_csv(losses) if losses else "",
+        if greedy_is_best and unique:
+            lines.append(_PLAIN_ROW_CSV % (p, q, ups))
+        else:
+            lines.append(
+                _ROW_CSV
+                % (
+                    p,
+                    q,
+                    ups,
+                    greedy_is_best,
+                    unique,
+                    _pairs_csv(ties) if ties else "",
+                    _pairs_csv(losses) if losses else "",
+                )
             )
-        )
         if len(lines) == _ROWS_PER_WRITE:
             write("".join(lines))
             lines.clear()
@@ -235,6 +242,12 @@ _ROW_JSON = (
     '\n    {\n      "p": %d,\n      "q": %d,\n      "upsilon": %d,'
     '\n      "greedy_is_best": %s,\n      "unique": %s,'
     '\n      "ties": %s,\n      "losses": %s\n    }'
+)
+# The same object for a row where greedy is the unique best.
+_PLAIN_ROW_JSON = (
+    '\n    {\n      "p": %d,\n      "q": %d,\n      "upsilon": %d,'
+    '\n      "greedy_is_best": true,\n      "unique": true,'
+    '\n      "ties": [],\n      "losses": []\n    }'
 )
 _PAIR_JSON = "\n        [\n          %d,\n          %d\n        ]"
 _JSON_BOOL = {True: "true", False: "false"}
@@ -265,12 +278,19 @@ def _emit_threshold_json(report, rows) -> None:
     Each row tuple is written as the object keyed by its field names. The
     report keys go through ``json.dumps``; the rows, which are most of
     the output, through the fixed-layout encoder above, in large writes.
+    A row where greedy is the unique best fills ``_PLAIN_ROW_JSON`` with
+    its first three fields and makes no ``_row_json`` call.
     """
     write = sys.stdout.write
     head = json.dumps(report.to_json_dict(), indent=2)
     write(head[:-2] + ',\n  "rows": [')  # head ends with "\n}"
     for start in range(0, len(rows), _ROWS_PER_WRITE):
-        chunk = ",".join([_row_json(row) for row in rows[start : start + _ROWS_PER_WRITE]])
+        chunk = ",".join(
+            [
+                _PLAIN_ROW_JSON % row[:3] if row[3] and row[4] else _row_json(row)
+                for row in rows[start : start + _ROWS_PER_WRITE]
+            ]
+        )
         write(chunk if start == 0 else "," + chunk)
     write("\n  ]\n}\n" if rows else "]\n}\n")
 

@@ -15,14 +15,15 @@ x_{m-1} the best last term is a closed form, and a convex lower bound on
 the error closes the x_{m-1} range as soon as no further x_{m-1} can
 reach the incumbent. Exceeding the node budget raises SearchInconclusive
 rather than returning a partial answer. The closed form and the bound
-(``_backend._closing_term``, ``_backend._error_floor``) are shared with
-the sweep kernel ``_backend.two_term_scan``: the same solver at partial
-sum 0, which backs ``best_two_term`` and the threshold sweep.
+are ``_backend._closing_term`` and ``_backend._error_floor``. The sweep
+kernel ``_backend.two_term_scan`` is the same solver at m = 2 and
+partial sum 0, with both written out; it backs ``best_two_term`` and the
+threshold sweep.
 
 The interval test ``na23_bounds_check`` that any non-greedy competitor
 pair must pass, and the prefix-product certificate
 ``muirhead_certificate`` implying strict reciprocal-sum domination, are
-exposed as filters so sweeps can assert them against search output.
+for now run only by the tests; no sweep calls either one.
 """
 
 from __future__ import annotations
@@ -319,10 +320,10 @@ def _threshold_rows_for_q(q: int) -> list[tuple]:
     for p in range(1, q):
         if gcd(p, q) != 1:
             continue
-        a1, a2, _, _, tuples = scan(p, q)
+        a1, _, _, _, tuples = scan(p, q)
         unique = len(tuples) == 1
         # every optimal pair with x1 = a1 is the greedy pair, and none has x1 < a1
-        if tuples[0] == (a1, a2):
+        if tuples[0][0] == a1:
             ties = () if unique else tuple(tuples[1:])
             rows.append((p, q, upsilon(p, q), True, unique, ties, ()))
         else:

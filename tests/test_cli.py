@@ -325,8 +325,9 @@ def _threshold_json_via_json_dump(q_max):
 
 
 # q < 11 has no observations; 17 adds the 10/17 tie and the first losses;
-# 90 has more rows than one write of the row encoder holds
-@pytest.mark.parametrize("q_max", [2, 3, 10, 17, 40, 90])
+# 90 has more rows than one write of the row encoder holds; 131 adds the
+# first row where greedy loses to several optimal pairs (13/131)
+@pytest.mark.parametrize("q_max", [2, 3, 10, 17, 40, 90, 131])
 def test_threshold_json_is_json_dump_byte_for_byte(capsys, q_max):
     code, out, _ = run_cli(capsys, "verify", "threshold", "--q-max", str(q_max))
     assert code == 0
@@ -353,13 +354,58 @@ def _threshold_csv_via_csv_writer(q_max):
     return out.getvalue()
 
 
-# 17 has the 10/17 tie and the first losses; 90 has more rows than one write
-@pytest.mark.parametrize("q_max", [2, 17, 90])
+# 17 has the 10/17 tie and the first losses; 90 has more rows than one write;
+# 131 has the first loss to several optimal pairs (13/131)
+@pytest.mark.parametrize("q_max", [2, 17, 90, 131])
 def test_threshold_csv_is_csv_writer_byte_for_byte(capsys, q_max):
     code, out, _ = run_cli(capsys, "--format", "csv", "verify", "threshold", "--q-max", str(q_max))
     assert code == 0
     assert out == _threshold_csv_via_csv_writer(q_max)
     assert q_max != 90 or out.count("\n") > cli._ROWS_PER_WRITE + 1
+
+
+# one row of each kind: greedy the unique best (1/2), greedy best with a
+# tie (7/10), greedy losing to one pair (5/11) and to several (13/131)
+_ROW_KINDS = [
+    (1, 2, 1, True, True, (), ()),
+    (7, 10, 4, True, False, ((3, 3),), ()),
+    (5, 11, 4, False, True, (), ((4, 5),)),
+    (13, 131, 12, False, False, (), ((12, 63), (14, 36))),
+]
+
+
+@pytest.mark.parametrize("row", _ROW_KINDS, ids=lambda row: "%d/%d" % row[:2])
+def test_row_encoders_match_json_dumps_and_csv_writer(row):
+    p, q, ups, greedy_is_best, unique, ties, losses = row
+    assert row in underapprox._threshold_rows_for_q(q)
+    obj = {
+        "p": p,
+        "q": q,
+        "upsilon": ups,
+        "greedy_is_best": greedy_is_best,
+        "unique": unique,
+        "ties": [list(t) for t in ties],
+        "losses": [list(t) for t in losses],
+    }
+    # the template is laid out as an item of the report's "rows" list
+    in_list = '{\n  "rows": [' + cli._row_json(row) + "\n  ]\n}"
+    assert in_list == json.dumps({"rows": [obj]}, indent=2)
+
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerow(
+        [
+            p,
+            q,
+            ups,
+            greedy_is_best,
+            unique,
+            ";".join(f"{a}:{b}" for a, b in ties),
+            ";".join(f"{a}:{b}" for a, b in losses),
+        ]
+    )
+    written = []
+    assert list(cli._written_as_csv([row], written.append)) == [row]
+    assert written == [expected.getvalue()]
 
 
 def test_threshold_failure_exits_5_in_every_format(capsys, monkeypatch):

@@ -50,6 +50,15 @@ def test_best_m_term_matches_two_term_search():
         assert a.optimal_tuples == b.optimal_tuples
 
 
+def test_two_term_scan_matches_best_m_term_on_every_fraction():
+    # the scan writes out the closing term and error floor that best_m_term
+    # calls as helpers; both must give the same optimum and tie set
+    for p, q in reduced_fractions(150):
+        a = underapprox.best_two_term(Fraction(p, q))
+        b = underapprox.best_m_term(Fraction(p, q), 2)
+        assert (a.optimal_sum, a.optimal_tuples) == (b.optimal_sum, b.optimal_tuples), (p, q)
+
+
 def test_best_m_term_m1_is_greedy_singleton():
     rng = random.Random(8)
     for _ in range(50):
