@@ -54,22 +54,17 @@ from .lemmas import (
     lp1_case_survivors,
     lp11_case_survivors,
     lp50_congruence_solvable_ks,
-    tie_bridge_check,
     verify_lp1,
     verify_lp11,
     verify_lp12,
     verify_lp50,
 )
-from .rational import Rational, floor_of_reciprocal, make
 from .report import VerificationReport
 from .underapprox import (
     UnderapproxResult,
     best_m_term,
     best_two_term,
-    muirhead_certificate,
-    na23_bounds_check,
     threshold_sweep,
-    verify_threshold_sweep,
 )
 
 __version__ = "0.1.0"

@@ -347,8 +347,6 @@ def cmd_verify(args) -> int:
             )
             for failure in r.failures:
                 print(f"  failure at {failure}")
-    elif args.format == "csv":
-        raise DomainError(f"csv output is not defined for suite {suite!r}")
     else:
         payload = [r.to_json_dict() for r in reports]
         _emit_json(payload[0] if len(payload) == 1 else payload)
@@ -439,7 +437,10 @@ def main(argv=None) -> int:
     set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_int_max_str_digits is not None:
         set_int_max_str_digits(0)
+    target = f"verify {args.suite}" if args.command == "verify" else args.command
     try:
+        if args.format == "csv" and target not in ("verify threshold", "phi-samples"):
+            raise DomainError(f"csv output is not defined for {target!r}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at exit
         return code

@@ -11,11 +11,12 @@ p/q. Suitability of v is exactly the strict floor inequality evaluated by
 
 The choice of v splits on k mod 4: for k = 4j it is always v = 1; the
 other residues pick v from a bracket in s whose endpoints tile the j-axis
-(tables of hand-checked (k, v) values cover the small j before each
-bracket rule starts). The quadratic certificates behind the bracket rules
-are verified without any square roots: the quadratic has positive leading
-coefficient, so checking strict negativity at both integer endpoints of a
-bracket covers every j inside it by convexity (``check_root_interval``).
+(``_BRACKETS``; tables of hand-checked (k, v) values cover the small j
+before each bracket rule starts). The quadratic certificates behind the
+bracket rules are verified without any square roots: the quadratic has
+positive leading coefficient, so checking strict negativity at both
+integer endpoints of a bracket covers every j inside it by convexity
+(``check_root_interval``).
 ``check_fractional_claims`` verifies the exact fractional parts that make
 the floor in the inequality computable in closed form on each family.
 """
@@ -30,12 +31,21 @@ from .errors import DomainError, InvariantViolation
 from .greedy import expand, g_func, upsilon
 from .report import VerificationReport
 
-# Hand-picked v for k = 4j+2 with 1 <= j <= 11; the bracket rule
-# (v = 4s+20, 12+s(s+7) <= j <= 11+(s+1)(s+8)) takes over at j = 12.
+# k mod 4 -> (s_min, first j of bracket s, last j of bracket s, v for bracket s).
+# For k = 4j + residue, the bracket holding j gives v; the brackets of
+# consecutive s tile the j-axis from the first j of bracket s_min on.
+_BRACKETS = {
+    1: (1, lambda s: s * (s + 1) // 2, lambda s: (s + 1) * (s + 2) // 2 - 1, lambda s: 2 * s + 5),
+    2: (0, lambda s: 12 + s * (s + 7), lambda s: 11 + (s + 1) * (s + 8), lambda s: 4 * s + 20),
+    3: (2, lambda s: s * (s + 1), lambda s: (s + 1) * (s + 2) - 1, lambda s: 4 * s + 8),
+}
+
+# Hand-picked v for k = 4j+2 with 1 <= j <= 11; the bracket rule takes
+# over at j = 12.
 TABLE_1 = {6: 8, 10: 11, 14: 12, 18: 12, 22: 12, 26: 15, 30: 16, 34: 16, 38: 16, 42: 16, 46: 16}
 
-# Hand-picked v for k = 4j+3 with 1 <= j <= 5; the bracket rule
-# (v = 4s+8, s(s+1) <= j <= (s+1)(s+2)-1, s >= 2) takes over at j = 6.
+# Hand-picked v for k = 4j+3 with 1 <= j <= 5; the bracket rule takes
+# over at j = 6.
 TABLE_2 = {7: 8, 11: 13, 15: 12, 19: 12, 23: 12}
 
 
@@ -74,6 +84,11 @@ class Counterexample(NamedTuple):
         }
 
 
+def _core(k: int, v: int) -> int:
+    """k(kv+1)((k+1)v-1); over 2k+1 it is the floor argument of ``check_s5``."""
+    return k * (k * v + 1) * ((k + 1) * v - 1)
+
+
 def check_s5(k: int, v: int) -> bool:
     """Exact verdict of the suitability inequality for (k, v):
 
@@ -82,7 +97,7 @@ def check_s5(k: int, v: int) -> bool:
     """
     if k < 4 or v < 1:
         raise DomainError("need k >= 4 and v >= 1")
-    core = k * (k * v + 1) * ((k + 1) * v - 1)
+    core = _core(k, v)
     lhs = (Fraction(core + k) + Fraction(1, v)) / (Fraction(2 * k + 1) + Fraction(1, k * v * v))
     rhs = core // (2 * k + 1) + 1
     return lhs > rhs
@@ -102,7 +117,7 @@ def beating_pair(k: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
     a1 = k * v
     a2 = k * v * ((k + 1) * v - 1) + 1
     x1 = a1 + 1
-    x2 = (k * ((k + 1) * v - 1) * (k * v + 1)) // (2 * k + 1) + 1
+    x2 = _core(k, v) // (2 * k + 1) + 1
 
     theta = Fraction(p, q)
     if x2 != g_func(theta - Fraction(1, x1)):
@@ -114,17 +129,18 @@ def beating_pair(k: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (a1, a2), (x1, x2)
 
 
-def _bracket_s(j: int, lower, upper, s_min: int) -> int:
-    """Unique s >= s_min with lower(s) <= j <= upper(s).
+def _bracket_s(residue: int, j: int) -> int:
+    """Unique s >= s_min whose bracket for k = residue mod 4 holds j.
 
     The brackets tile the j-axis; uniqueness is asserted, not assumed.
     """
+    s_min, first, last, _ = _BRACKETS[residue]
     s = s_min
-    while not (lower(s) <= j <= upper(s)):
+    while not (first(s) <= j <= last(s)):
         s += 1
-        if lower(s) > j:
+        if first(s) > j:
             raise InvariantViolation(f"bracket rule skipped j = {j}")
-    if (s > s_min and j <= upper(s - 1)) or lower(s + 1) <= j:
+    if (s > s_min and j <= last(s - 1)) or first(s + 1) <= j:
         raise InvariantViolation(f"bracket rule ambiguous at j = {j}")
     return s
 
@@ -133,24 +149,16 @@ def select_v(k: int) -> tuple[int, Optional[int]]:
     """The v used by construct(k), with its bracket parameter s if any."""
     if k < 4:
         raise DomainError("need k >= 4")
-    r = k % 4
-    if r == 0:
+    residue = k % 4
+    if residue == 0:
         return 1, None
-    if r == 1:
-        j = (k - 1) // 4
-        s = _bracket_s(j, lambda s: s * (s + 1) // 2, lambda s: (s + 1) * (s + 2) // 2 - 1, 1)
-        return 2 * s + 5, s
-    if r == 2:
-        if k in TABLE_1:
-            return TABLE_1[k], None
-        j = (k - 2) // 4
-        s = _bracket_s(j, lambda s: 12 + s * (s + 7), lambda s: 11 + (s + 1) * (s + 8), 0)
-        return 4 * s + 20, s
+    if k in TABLE_1:
+        return TABLE_1[k], None
     if k in TABLE_2:
         return TABLE_2[k], None
-    j = (k - 3) // 4
-    s = _bracket_s(j, lambda s: s * (s + 1), lambda s: (s + 1) * (s + 2) - 1, 2)
-    return 4 * s + 8, s
+    s = _bracket_s(residue, k // 4)
+    v_of = _BRACKETS[residue][3]
+    return v_of(s), s
 
 
 def construct(k: int) -> Counterexample:
@@ -175,51 +183,32 @@ def construct(k: int) -> Counterexample:
 # ---------------------------------------------------------------------------
 
 _CLAIMS = {
-    # claim id -> (j_min, s rule, x(j, s), claimed fractional part)
-    "cls1": (
-        1,
-        lambda j: _bracket_s(j, lambda s: s * (s + 1) // 2, lambda s: (s + 1) * (s + 2) // 2 - 1, 1),
-        lambda j, s: Fraction(
-            (4 * j + 1) * ((4 * j + 1) * (2 * s + 5) + 1) * ((4 * j + 2) * (2 * s + 5) - 1),
-            8 * j + 3,
-        ),
-        lambda j, s: Fraction(5 * j + 2 + 3 * s + (s - 2) * (s - 1) // 2, 8 * j + 3),
-    ),
-    "cls2": (
-        12,
-        lambda j: _bracket_s(j, lambda s: 12 + s * (s + 7), lambda s: 11 + (s + 1) * (s + 8), 0),
-        lambda j, s: Fraction(
-            (4 * j + 2) * ((4 * j + 2) * (4 * s + 20) + 1) * ((4 * j + 3) * (4 * s + 20) - 1),
-            8 * j + 5,
-        ),
-        lambda j, s: Fraction(2 * s * s + 18 * s + 4 * j + 43, 8 * j + 5),
-    ),
-    "cll5": (
-        6,
-        lambda j: _bracket_s(j, lambda s: s * (s + 1), lambda s: (s + 1) * (s + 2) - 1, 2),
-        lambda j, s: Fraction(
-            (4 * j + 3) * (4 * (4 * j + 3) * (s + 2) + 1) * (16 * (j + 1) * (s + 2) - 1),
-            8 * j + 7,
-        ),
-        lambda j, s: Fraction(2 * s * s + 6 * s + 4 * j + 8, 8 * j + 7),
-    ),
+    # claim id -> (residue of k mod 4, claimed fractional part at (j, s))
+    "cls1": (1, lambda j, s: Fraction(5 * j + 2 + 3 * s + (s - 2) * (s - 1) // 2, 8 * j + 3)),
+    "cls2": (2, lambda j, s: Fraction(2 * s * s + 18 * s + 4 * j + 43, 8 * j + 5)),
+    "cll5": (3, lambda j, s: Fraction(2 * s * s + 6 * s + 4 * j + 8, 8 * j + 7)),
 }
 
 
 def check_fractional_claims(claim: str, j_max: int) -> VerificationReport:
     """Verify a closed-form fractional part over its whole j range up to j_max.
 
-    For each admissible j (s picked by the claim's bracket rule) the exact
-    fractional part of the floor argument must equal the claimed form.
+    For each j from the first bracket of the claim's residue on, with
+    k = 4j + residue and s, v picked by the bracket rule, the exact
+    fractional part of the floor argument ``_core(k, v)/(2k+1)`` of
+    ``check_s5`` must equal the claimed form.
     """
     if claim not in _CLAIMS:
         raise DomainError(f"unknown claim {claim!r}; expected one of {sorted(_CLAIMS)}")
-    j_min, s_rule, x_of, claimed_of = _CLAIMS[claim]
+    residue, claimed_of = _CLAIMS[claim]
+    s_min, first, _, v_of = _BRACKETS[residue]
+    j_min = first(s_min)
     failures = []
     points = 0
     for j in range(j_min, j_max + 1):
-        s = s_rule(j)
-        x = x_of(j, s)
+        k = 4 * j + residue
+        s = _bracket_s(residue, j)
+        x = Fraction(_core(k, v_of(s)), 2 * k + 1)
         points += 1
         if x - (x.numerator // x.denominator) != claimed_of(j, s):
             failures.append((j, s))
@@ -236,35 +225,22 @@ def check_fractional_claims(claim: str, j_max: int) -> VerificationReport:
 # Root-interval certificates for the bracket rules
 # ---------------------------------------------------------------------------
 
-_ROOT_CASES = {
-    # residue of k mod 4 -> (s_min, coefficients (A, B, C) of Ax^2-Bx-C,
-    #                        bracket endpoints (lo(s), hi(s)))
-    1: (
-        1,
-        lambda s: (
-            8 * s * s + 40 * s + 50,
-            4 * s**4 + 32 * s**3 + 85 * s * s + 79 * s + 10,
-            s**4 + 8 * s**3 + 22 * s * s + 23 * s + 6,
-        ),
-        lambda s: (s * (s + 1) // 2, (s + 1) * (s + 2) // 2 - 1),
+_ROOT_COEFFS = {
+    # residue of k mod 4 -> coefficients (A, B, C) of Ax^2-Bx-C at bracket s
+    1: lambda s: (
+        8 * s * s + 40 * s + 50,
+        4 * s**4 + 32 * s**3 + 85 * s * s + 79 * s + 10,
+        s**4 + 8 * s**3 + 22 * s * s + 23 * s + 6,
     ),
-    2: (
-        0,
-        lambda s: (
-            64 * s + 320,
-            64 * s**3 + 896 * s * s + 4088 * s + 6048,
-            32 * s**3 + 448 * s * s + 2061 * s + 3108,
-        ),
-        lambda s: (12 + s * (s + 7), 11 + (s + 1) * (s + 8)),
+    2: lambda s: (
+        64 * s + 320,
+        64 * s**3 + 896 * s * s + 4088 * s + 6048,
+        32 * s**3 + 448 * s * s + 2061 * s + 3108,
     ),
-    3: (
-        2,
-        lambda s: (
-            64 * (s + 2),
-            8 * (8 * s**3 + 40 * s * s + 51 * s + 7),
-            48 * s**3 + 240 * s * s + 343 * s + 115,
-        ),
-        lambda s: (s * (s + 1), (s + 1) * (s + 2) - 1),
+    3: lambda s: (
+        64 * (s + 2),
+        8 * (8 * s**3 + 40 * s * s + 51 * s + 7),
+        48 * s**3 + 240 * s * s + 343 * s + 115,
     ),
 }
 
@@ -276,16 +252,17 @@ def check_root_interval(residue_case: int, s_max: int) -> VerificationReport:
     integer endpoints of the bracket puts every j in the bracket strictly
     between the two roots, with no square root ever computed.
     """
-    if residue_case not in _ROOT_CASES:
+    if residue_case not in _ROOT_COEFFS:
         raise DomainError("residue_case must be 1, 2 or 3")
     if s_max < 2:
         raise DomainError("s_max must be >= 2")
-    s_min, coeffs, endpoints = _ROOT_CASES[residue_case]
+    coeffs = _ROOT_COEFFS[residue_case]
+    s_min, first, last, _ = _BRACKETS[residue_case]
     failures = []
     points = 0
     for s in range(s_min, s_max + 1):
         a, b, c = coeffs(s)
-        for j in endpoints(s):
+        for j in (first(s), last(s)):
             points += 1
             if not a * j * j - b * j - c < 0:
                 failures.append((s, j))

@@ -92,8 +92,10 @@ def _guarded_steps(theta: Fraction, digit_guard: Optional[int]) -> Iterator[tupl
 
     Raises DigitGuardExceeded, before any arithmetic on it, once a
     denominator a_m has more than ``digit_guard`` decimal digits; None
-    means no cap.
+    means no cap. A cap below 1 digit is a DomainError.
     """
+    if digit_guard is not None and digit_guard < 1:
+        raise DomainError(f"digit guard must be at least 1, got {digit_guard}")
     # a below 2**safe_bits has at most digit_guard digits, since
     # 3.321928 < log2(10); only a longer a is compared with 10**digit_guard
     safe_bits = digit_guard * 3321928 // 10**6 if digit_guard is not None else None

@@ -27,16 +27,12 @@ reports are sorted, so worker count never changes output content.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Iterable
 
 from . import _backend
 from ._pool import ordered_map, worker_count
 from .errors import DomainError
-from .greedy import upsilon
 from .report import VerificationReport
-from .underapprox import best_two_term
 
 OFFSET3_EXPECTED_EXCEPTIONS = [(17, 2), (61, 8)]
 
@@ -226,63 +222,6 @@ def verify_lp12() -> VerificationReport:
         range_descr="1 <= s <= 154 pointwise; s = 155 recorded; s >= 156 by threshold argument",
         points_checked=points,
         failures=failures,
-        expected_exceptions=[],
-        observations=observations,
-    )
-
-
-def tie_bridge_check(q_max: int) -> VerificationReport:
-    """Bridge the exceptional lemma pairs to the two-term theorem outcomes.
-
-    Sweeps every reduced p/q with upsilon(p, q) = 3 and q <= q_max by
-    full two-term search: greedy must be optimal, uniquely except at
-    10/17 whose tie set must be exactly {(2, 12), (3, 4)}. In particular
-    8/61 (the fraction behind the exceptional pair (61, 8)) must be a
-    unique greedy optimum.
-    """
-    if q_max < 61:
-        raise DomainError("q_max must be >= 61 to cover the bridge points")
-    failures = []
-    observations = []
-    points = 0
-    for q in range(2, q_max + 1):
-        for p in range(1, q):
-            if gcd(p, q) != 1 or upsilon(p, q) != 3:
-                continue
-            points += 1
-            result = best_two_term(Fraction(p, q))
-            if (p, q) == (10, 17):
-                ok = (
-                    result.greedy_is_best
-                    and not result.unique
-                    and result.optimal_tuples == [(2, 12), (3, 4)]
-                )
-                observations.append(
-                    {
-                        "p": p,
-                        "q": q,
-                        "kind": "tie",
-                        "tuples": [list(t) for t in result.optimal_tuples],
-                    }
-                )
-                if not ok:
-                    failures.append((p, q))
-            elif not (result.greedy_is_best and result.unique):
-                failures.append((p, q))
-            elif (p, q) == (8, 61):
-                observations.append(
-                    {
-                        "p": p,
-                        "q": q,
-                        "kind": "unique-optimum",
-                        "tuples": [list(t) for t in result.optimal_tuples],
-                    }
-                )
-    return VerificationReport(
-        lemma_id="tie-bridge",
-        range_descr=f"reduced p/q with upsilon = 3, q <= {q_max}",
-        points_checked=points,
-        failures=sorted(failures),
         expected_exceptions=[],
         observations=observations,
     )

@@ -19,11 +19,6 @@ are ``_backend._closing_term`` and ``_backend._error_floor``. The sweep
 kernel ``_backend.two_term_scan`` is the same solver at m = 2 and
 partial sum 0, with both written out; it backs ``best_two_term`` and the
 threshold sweep.
-
-The interval test ``na23_bounds_check`` that any non-greedy competitor
-pair must pass, and the prefix-product certificate
-``muirhead_certificate`` implying strict reciprocal-sum domination, are
-for now run only by the tests; no sweep calls either one.
 """
 
 from __future__ import annotations
@@ -31,13 +26,13 @@ from __future__ import annotations
 from contextlib import closing
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import _backend, rational
 from ._backend import _closing_term, _error_floor
 from ._pool import ordered_map, worker_count
-from .errors import DomainError, InvariantViolation, SearchInconclusive
-from .greedy import expand, upsilon
+from .errors import DomainError, SearchInconclusive
+from .greedy import _require_unit_interval, expand, upsilon
 from .report import VerificationReport
 
 
@@ -82,11 +77,6 @@ class UnderapproxResult(NamedTuple):
             "greedy_is_best": self.greedy_is_best,
             "unique": self.unique,
         }
-
-
-def _require_unit_interval(theta: Fraction) -> None:
-    if not 0 < theta <= 1:
-        raise DomainError(f"theta must lie in (0, 1], got {theta}")
 
 
 def best_two_term(theta: Fraction) -> UnderapproxResult:
@@ -261,59 +251,6 @@ def best_m_term(
     )
 
 
-def na23_bounds_check(theta: Fraction, x1: int, x2: int) -> bool:
-    """Interval test every non-greedy competitor pair must satisfy:
-
-    a1+1 <= x1 <= 2*a1-1 <= x2 < a1*x1/(x1-a1) and x2 <= a2-1,
-    where (a1, a2) is the greedy pair of theta. Used as a post-hoc filter
-    on search output, never as the search space itself (its premises
-    exclude the greedy pair).
-    """
-    _require_unit_interval(theta)
-    a1, a2 = expand(theta, 2).terms
-    if (x1, x2) == (a1, a2):
-        raise DomainError("the greedy pair itself is excluded from this test")
-    return (
-        a1 + 1 <= x1 <= 2 * a1 - 1 <= x2
-        and x2 * (x1 - a1) < a1 * x1
-        and x2 <= a2 - 1
-    )
-
-
-def muirhead_certificate(x: Sequence[int], a: Sequence[int]) -> bool:
-    """Prefix-product domination of a by x, implying sum(1/x) < sum(1/a).
-
-    Both tuples must be nondecreasing positive integers of the same
-    length, with x != a. When every prefix product of a is <= the
-    corresponding prefix product of x the reciprocal sums compare
-    strictly; that consequence is asserted before returning True.
-    """
-    if len(x) != len(a):
-        raise DomainError("tuples must have the same length")
-    if not x:
-        raise DomainError("tuples must be nonempty")
-    for t in (x, a):
-        if t[0] < 1:
-            raise DomainError("entries must be positive integers")
-        if any(t[i] > t[i + 1] for i in range(len(t) - 1)):
-            raise DomainError("tuples must be nondecreasing")
-    if tuple(x) == tuple(a):
-        raise DomainError("tuples must differ")
-    prod_x, prod_a = 1, 1
-    for xi, ai in zip(x, a):
-        prod_x *= xi
-        prod_a *= ai
-        if prod_a > prod_x:
-            return False
-    sum_x = sum(Fraction(1, xi) for xi in x)
-    sum_a = sum(Fraction(1, ai) for ai in a)
-    if not sum_x < sum_a:
-        raise InvariantViolation(
-            f"prefix-product domination without strict sum inequality: {x} vs {a}"
-        )
-    return True
-
-
 def _threshold_rows_for_q(q: int) -> list[tuple]:
     scan = _backend.two_term_scan
     rows = []
@@ -365,19 +302,14 @@ TIE_POINT = (10, 17)
 TIE_SET = [(2, 12), (3, 4)]
 
 
-def verify_threshold_sweep(q_max: int, jobs: int = 1) -> VerificationReport:
-    """Check the two-term threshold over all reduced p/q with q <= q_max.
+def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationReport:
+    """Check the two-term threshold on ``threshold_sweep`` rows, in a single pass.
 
     For upsilon(p, q) <= 3 the greedy pair must be optimal, and uniquely
     so except exactly at 10/17 where the tie set must be {(2,12), (3,4)}.
     For upsilon >= 4, rows where greedy loses are recorded as
     observations without being asserted either way.
     """
-    return verify_threshold_rows(threshold_sweep(q_max, jobs=jobs), q_max)
-
-
-def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationReport:
-    """The threshold check applied to sweep rows, in a single pass."""
     failures: list[tuple] = []
     observations: list[dict] = []
     points = 0

@@ -14,13 +14,15 @@ the level's range is tried. It is the reference for m = 4.
 ``two_term_scan`` is, in the same way, the two-term kernel before its x1
 range could close early: every x1 up to floor(2/S) is tried. The
 ``lp*`` functions are the lemma kernels as first written, each side of
-the inequality multiplied out on its own.
+the inequality multiplied out on its own. ``select_v`` is the choice of v
+in the counterexample construction, with each bracket found in closed
+form by an integer square root instead of by walking the brackets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
 
@@ -210,3 +212,35 @@ def reduced_fractions(q_max: int):
         for p in range(1, q):
             if gcd(p, q) == 1:
                 yield p, q
+
+
+# v for k = 4j + 2, 1 <= j <= 11, and for k = 4j + 3, 1 <= j <= 5
+_V_TABLE_K2 = {6: 8, 10: 11, 14: 12, 18: 12, 22: 12, 26: 15, 30: 16, 34: 16,
+               38: 16, 42: 16, 46: 16}
+_V_TABLE_K3 = {7: 8, 11: 13, 15: 12, 19: 12, 23: 12}
+
+
+def select_v(k: int) -> tuple[int, Optional[int]]:
+    """(v, s) for index k >= 4, s None when v is not from a bracket.
+
+    k = 4j + 1: s >= 1 with s(s+1)/2 <= j < (s+1)(s+2)/2, v = 2s + 5.
+    k = 4j + 2, j >= 12: 12 + s(s+7) = (s+3)(s+4) <= j < (s+4)(s+5),
+    v = 4s + 20. k = 4j + 3, j >= 6: s >= 2 with s(s+1) <= j < (s+1)(s+2),
+    v = 4s + 8. In each case s is the largest integer whose lower end is
+    at most j.
+    """
+    j, residue = divmod(k, 4)
+    if residue == 0:
+        return 1, None
+    if residue == 1:
+        s = (isqrt(8 * j + 1) - 1) // 2
+        return 2 * s + 5, s
+    if residue == 2:
+        if k in _V_TABLE_K2:
+            return _V_TABLE_K2[k], None
+        s = (isqrt(4 * j + 1) - 1) // 2 - 3
+        return 4 * s + 20, s
+    if k in _V_TABLE_K3:
+        return _V_TABLE_K3[k], None
+    s = (isqrt(4 * j + 1) - 1) // 2
+    return 4 * s + 8, s

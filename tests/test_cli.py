@@ -60,6 +60,17 @@ def test_expand_digit_guard_exit_code(capsys):
     assert len(json.loads(out)["terms"]) == 9
 
 
+@pytest.mark.parametrize("guard", ["0", "-5"])
+def test_digit_guard_below_one_is_a_domain_error(capsys, guard):
+    code, out, err = run_cli(capsys, "expand", "5", "16", "--m", "3", "--digit-guard", guard)
+    assert code == 2 and out == ""
+    assert "digit guard" in err
+    # a_1 = 4 has one digit and a_2 = 17 two, so a one-digit guard stops at step 2
+    code, out, err = run_cli(capsys, "expand", "5", "16", "--m", "3", "--digit-guard", "1")
+    assert code == 3 and out == ""
+    assert "step 2" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "expand", "3", "2", "--m", "1")
     assert code == 2
@@ -263,10 +274,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
-def test_csv_rejected_where_undefined(capsys):
-    code, _, err = run_cli(capsys, "--format", "csv", "verify", "lp1", "--q-max", "10")
-    assert code == 2
-    assert "csv" in err
+def test_csv_rejected_where_undefined(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before csv was rejected")
+
+    monkeypatch.setattr(lemmas, "verify_lp1", no_sweep)
+    for argv in (
+        ["verify", "lp1", "--q-max", "3000"],
+        ["verify", "lp12"],
+        ["expand", "5", "16", "--m", "3"],
+        ["best", "10", "17", "--m", "2"],
+        ["construct", "6"],
+    ):
+        code, out, err = run_cli(capsys, "--format", "csv", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "csv" in err
 
 
 def test_deterministic_output(capsys):

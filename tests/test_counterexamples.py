@@ -7,6 +7,7 @@ import pytest
 from egfrac import counterexamples as ce
 from egfrac import greedy, underapprox
 from egfrac.errors import DomainError
+from oracles import select_v as oracle_select_v
 
 
 def test_construct_k4_is_the_classic_example():
@@ -42,6 +43,11 @@ def test_select_v_brackets_cover_4_to_300():
             assert (v, s) == (1, None)
     with pytest.raises(DomainError):
         ce.select_v(3)
+
+
+def test_select_v_matches_bracket_oracle():
+    for k in range(4, 2001):
+        assert ce.select_v(k) == oracle_select_v(k), k
 
 
 def test_check_s5_examples():

@@ -100,8 +100,6 @@ def test_q_max_preconditions():
         lemmas.verify_lp1(3)
     with pytest.raises(DomainError):
         lemmas.verify_lp11(4)
-    with pytest.raises(DomainError):
-        lemmas.tie_bridge_check(60)
 
 
 def test_lp1_proof_survivors():
@@ -128,14 +126,6 @@ def test_lp50_congruence_subfacts():
     assert lemmas.lp50_congruence_solvable_ks(2) == [7]
     with pytest.raises(DomainError):
         lemmas.lp50_congruence_solvable_ks(3)
-
-
-def test_tie_bridge_check():
-    report = lemmas.tie_bridge_check(61)
-    assert report.passed
-    kinds = {(o["p"], o["q"]): o["kind"] for o in report.observations}
-    assert kinds[(10, 17)] == "tie"
-    assert kinds[(8, 61)] == "unique-optimum"
 
 
 def test_reports_are_deterministic_and_parallel_safe():

@@ -1,16 +1,23 @@
-"""Best two-term / m-term searches, their filters, and the threshold sweep."""
+"""Best two-term / m-term searches and the threshold sweep."""
 
 import multiprocessing
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import mul
 
 import pytest
 
 from egfrac import _backend, underapprox
-from egfrac.errors import DomainError, InvariantViolation, SearchInconclusive
-from oracles import branch_and_bound_m_term, naive_best_m_term, reduced_fractions
+from egfrac.errors import DomainError, SearchInconclusive
+from oracles import (
+    branch_and_bound_m_term,
+    greedy_prefix,
+    naive_best_m_term,
+    reduced_fractions,
+)
 
 SYLVESTER = (2, 3, 7, 43, 1807, 3263443)
 
@@ -173,39 +180,33 @@ def test_search_effort_is_reported_outside_the_answer():
     assert underapprox.best_m_term(Fraction(10, 17), 1).nodes_per_level == ()
 
 
-def test_na23_bounds_check_examples():
-    assert underapprox.na23_bounds_check(Fraction(5, 16), 5, 9)
-    assert underapprox.na23_bounds_check(Fraction(10, 17), 3, 4)
-    with pytest.raises(DomainError):
-        underapprox.na23_bounds_check(Fraction(5, 16), 4, 17)  # greedy pair excluded
-
-
 def test_every_nongreedy_competitor_passes_na23_bounds():
-    # competitors: non-greedy optimal pairs (ties or wins) found by full search
+    # competitors: non-greedy optimal pairs (ties or wins) found by full
+    # search; each must satisfy, with (a1, a2) the greedy pair,
+    # a1+1 <= x1 <= 2*a1-1 <= x2 < a1*x1/(x1-a1) and x2 <= a2-1
     seen = 0
     for p, q in reduced_fractions(60):
         r = underapprox.best_two_term(Fraction(p, q))
-        greedy_pair = tuple(r.greedy_terms)
-        for tup in r.optimal_tuples:
-            if tup == greedy_pair:
+        a1, a2 = greedy_prefix(p, q, 2)[0]
+        for x1, x2 in r.optimal_tuples:
+            if (x1, x2) == (a1, a2):
                 continue
             seen += 1
-            assert underapprox.na23_bounds_check(Fraction(p, q), *tup), (p, q, tup)
-    assert seen > 10  # the filter actually got exercised
+            assert a1 + 1 <= x1 <= 2 * a1 - 1 <= x2, (p, q, x1, x2)
+            assert x2 * (x1 - a1) < a1 * x1 and x2 <= a2 - 1, (p, q, x1, x2)
+    assert seen > 10  # the interval test actually got exercised
 
 
-def test_muirhead_certificate_examples():
-    assert underapprox.muirhead_certificate((2, 3, 8), (2, 3, 7))
-    assert not underapprox.muirhead_certificate((5, 9), (4, 17))
-    with pytest.raises(DomainError):
-        underapprox.muirhead_certificate((2, 3), (2, 3))
-    with pytest.raises(DomainError):
-        underapprox.muirhead_certificate((2, 3), (2, 3, 7))
+def _prefix_products_dominate(x, a):
+    """Every prefix product of a is <= the corresponding one of x."""
+    return all(pa <= px for px, pa in zip(accumulate(x, mul), accumulate(a, mul)))
 
 
 def test_muirhead_certificate_random_pairs():
-    # certificate True must imply a strictly larger reciprocal sum for a;
-    # muirhead_certificate asserts that internally, so just drive it hard
+    # prefix-product domination of a by x, for distinct nondecreasing
+    # tuples of one length, implies sum(1/x) < sum(1/a)
+    assert _prefix_products_dominate((2, 3, 8), (2, 3, 7))
+    assert not _prefix_products_dominate((5, 9), (4, 17))
     rng = random.Random(424)
     holds = 0
     for _ in range(10_000):
@@ -219,14 +220,17 @@ def test_muirhead_certificate_random_pairs():
             x = sorted(rng.randint(1, 30) for _ in range(length))
         if tuple(x) == tuple(a):
             continue
-        if underapprox.muirhead_certificate(x, a):
+        if _prefix_products_dominate(x, a):
             holds += 1
+            assert sum(Fraction(1, t) for t in x) < sum(Fraction(1, t) for t in a), (x, a)
     assert holds > 1000
 
 
 def test_threshold_sweep_rows_and_flags():
-    rows = underapprox.threshold_sweep(17)
+    rows = underapprox.threshold_sweep(61)
     by_pq = {(r[0], r[1]): r for r in rows}
+    # 8/61, behind the lemmas' exceptional pair (61, 8): greedy uniquely best
+    assert by_pq[(8, 61)] == (8, 61, 3, True, True, (), ())
     _, _, _, greedy_is_best, unique, ties, _ = by_pq[(10, 17)]
     assert greedy_is_best and not unique
     assert ties == ((3, 4),)
@@ -254,7 +258,7 @@ def test_threshold_rows_are_plain_tuples_serial_and_pooled():
 
 
 def test_verify_threshold_sweep_small():
-    report = underapprox.verify_threshold_sweep(30)
+    report = underapprox.verify_threshold_rows(underapprox.threshold_sweep(30), 30)
     assert report.passed
     assert report.failures == []
     ties = [o for o in report.observations if o["kind"] == "tie"]
