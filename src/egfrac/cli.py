@@ -439,8 +439,11 @@ def main(argv=None) -> int:
         set_int_max_str_digits(0)
     target = f"verify {args.suite}" if args.command == "verify" else args.command
     try:
-        if args.format == "csv" and target not in ("verify threshold", "phi-samples"):
-            raise DomainError(f"csv output is not defined for {target!r}")
+        # csv is defined only for the two tables, and phi-samples has no plain form
+        if (args.format == "csv" and target not in ("verify threshold", "phi-samples")) or (
+            args.format == "plain" and target == "phi-samples"
+        ):
+            raise DomainError(f"{args.format} output is not defined for {target!r}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at exit
         return code

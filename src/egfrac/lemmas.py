@@ -21,13 +21,21 @@ The brute-force sub-facts quoted inside the lemma proofs (which small
 parameter triples survive an integrality constraint) are reproduced by
 the ``*_survivors`` helpers.
 
+Each box point is exactly one ``_backend`` kernel call, looked up from
+``_backend`` when a q is scanned, so call counts equal the points
+checked. For each q the admissible u come from divisor pairs
+(d, total/d) with d <= isqrt(total), 37 remainders at q = 1500 instead
+of one per candidate u (up to 499); each (u, s) makes its kernel calls
+written out, one per v, and the points are counted per u as
+len(vs) * (u - 1) rather than one by one.
+
 Sweeps partition their q-range across workers when ``jobs > 1``; merged
 reports are sorted, so worker count never changes output content.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from math import isqrt
 
 from . import _backend
 from ._pool import ordered_map, worker_count
@@ -37,11 +45,16 @@ from .report import VerificationReport
 OFFSET3_EXPECTED_EXCEPTIONS = [(17, 2), (61, 8)]
 
 
-def _admissible_divisors(total: int, min_quotient: int) -> Iterable[int]:
-    """Divisors u >= 2 of total with total/u >= min_quotient."""
-    for u in range(2, total // min_quotient + 1):
-        if total % u == 0:
-            yield u
+def _admissible_divisors(total: int, min_quotient: int) -> list[int]:
+    """Divisors u >= 2 of total with total/u >= min_quotient, ascending.
+
+    Found as pairs (d, total/d) with d <= isqrt(total): d is admissible
+    when total/d >= min_quotient, and total/d when d >= min_quotient.
+    """
+    small = [d for d in range(2, isqrt(total) + 1) if total % d == 0]
+    return [d for d in small if total // d >= min_quotient] + [
+        total // d for d in reversed(small) if d >= min_quotient and d * d != total
+    ]
 
 
 def _map_q_range(worker, qs, jobs: int):
@@ -53,11 +66,12 @@ def _lp1_scan_q(q: int) -> tuple[int, list[tuple]]:
     points = 0
     failures = []
     for u in _admissible_divisors(q + 2, 3):
+        points += 2 * (u - 1)
         for s in range(1, u):
-            for v in (1, 2):
-                points += 1
-                if not point(q, u, s, v):
-                    failures.append((q, u, s, v))
+            if not point(q, u, s, 1):
+                failures.append((q, u, s, 1))
+            if not point(q, u, s, 2):
+                failures.append((q, u, s, 2))
     return points, failures
 
 
@@ -86,11 +100,14 @@ def _lp11_scan_q(q: int) -> tuple[int, list[tuple]]:
     points = 0
     failing = []
     for u in _admissible_divisors(q + 3, 4):
+        points += 3 * (u - 1)
         for s in range(1, u):
-            for v in (1, 2, 3):
-                points += 1
-                if not point(q, u, s, v):
-                    failing.append((q, u, s, v))
+            if not point(q, u, s, 1):
+                failing.append((q, u, s, 1))
+            if not point(q, u, s, 2):
+                failing.append((q, u, s, 2))
+            if not point(q, u, s, 3):
+                failing.append((q, u, s, 3))
     return points, failing
 
 
@@ -141,13 +158,8 @@ def _point_is_tie_lp11(q: int, u: int, s: int, v: int) -> bool:
 
 def _lp50_scan_q(q: int) -> tuple[int, list[tuple]]:
     point = _backend.lp50_point
-    points = 0
-    failures = []
-    for u in _admissible_divisors(q + 3, 4):
-        points += 1
-        if not point(q, u):
-            failures.append((q, u))
-    return points, failures
+    divisors = _admissible_divisors(q + 3, 4)
+    return len(divisors), [(q, u) for u in divisors if not point(q, u)]
 
 
 def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:

@@ -14,7 +14,8 @@ the level's range is tried. It is the reference for m = 4.
 ``two_term_scan`` is, in the same way, the two-term kernel before its x1
 range could close early: every x1 up to floor(2/S) is tried. The
 ``lp*`` functions are the lemma kernels as first written, each side of
-the inequality multiplied out on its own. ``select_v`` is the choice of v
+the inequality multiplied out on its own, and ``lemma_box`` walks the
+(q, u) of their sweeps by trial division. ``select_v`` is the choice of v
 in the counterexample construction, with each bracket found in closed
 form by an integer square root instead of by walking the brackets.
 """
@@ -203,6 +204,14 @@ def lp50_point(q: int, u: int) -> bool:
     num = (q * u + 3) * u * (u + 1)
     den = q * u + 3 + 3 * u * (u + 1)
     return (lhs + 1) * den > num
+
+
+def lemma_box(q_max: int, offset: int, min_quotient: int):
+    """(q, u) of a lemma sweep: u >= 2 divides q + offset with quotient >= min_quotient."""
+    for q in range(1, q_max + 1):
+        for u in range(2, (q + offset) // min_quotient + 1):
+            if (q + offset) % u == 0:
+                yield q, u
 
 
 def reduced_fractions(q_max: int):

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import oracles
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -43,6 +45,20 @@ def test_traced_lemma_sweep_counts_one_kernel_call_per_point():
         "--workload", "lemma-sweep", "--seed", "1", "--seconds", "0", "--trace", "1"
     )
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    for kernel in ("lp1_point", "lp11_point", "lp50_point", "two_term_scan"):
-        assert f"backend.calls.{kernel}" in metrics
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # a result that lacks a declared per-layer metric is refused as malformed
+    assert {m["name"] for m in spec["per_layer"]} <= set(metrics)
     assert metrics["backend.calls"] == metrics["lemmas.points"] > 0
+    assert metrics["backend.calls.two_term_scan"] == 0
+    # the pass's q_max is drawn from the seed; every suite's box at it
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    (q_max,) = {int(argv[5]) for argv in workloads.make_pass("lemma-sweep", 1)}
+    offset2 = list(oracles.lemma_box(q_max, 2, 3))
+    offset3 = list(oracles.lemma_box(q_max, 3, 4))
+    assert metrics["backend.calls.lp1_point"] == sum(2 * (u - 1) for _, u in offset2)
+    assert metrics["backend.calls.lp11_point"] == sum(3 * (u - 1) for _, u in offset3)
+    assert metrics["backend.calls.lp50_point"] == len(offset3)

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, output schemas, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 from egfrac import _pool, cli, greedy, lemmas, underapprox
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+REFERENCE = SRC.parent / "perfbench" / "reference.json"
 
 SYLVESTER_8 = ["2", "3", "7", "43", "1807", "3263443", "10650056950807",
                "113423713055421844361000443"]
@@ -275,20 +277,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_csv_rejected_where_undefined(capsys, monkeypatch):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep ran before csv was rejected")
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its format was rejected")
 
-    monkeypatch.setattr(lemmas, "verify_lp1", no_sweep)
-    for argv in (
-        ["verify", "lp1", "--q-max", "3000"],
-        ["verify", "lp12"],
-        ["expand", "5", "16", "--m", "3"],
-        ["best", "10", "17", "--m", "2"],
-        ["construct", "6"],
+    monkeypatch.setattr(lemmas, "verify_lp1", no_work)
+    monkeypatch.setattr(greedy, "phi", no_work)
+    for fmt, argv in (
+        ("csv", ["verify", "lp1", "--q-max", "3000"]),
+        ("csv", ["verify", "lp12"]),
+        ("csv", ["expand", "5", "16", "--m", "3"]),
+        ("csv", ["best", "10", "17", "--m", "2"]),
+        ("csv", ["construct", "6"]),
+        ("plain", ["phi-samples", "--denom", "30"]),
     ):
-        code, out, err = run_cli(capsys, "--format", "csv", *argv)
+        code, out, err = run_cli(capsys, "--format", fmt, *argv)
         assert (code, out) == (2, ""), argv
-        assert "csv" in err
+        assert f"{fmt} output is not defined" in err
+
+
+@pytest.mark.parametrize("suite", ["lp1", "lp11", "lp50"])
+def test_lemma_sweeps_match_the_benchmark_reference(capsys, suite):
+    # the reference holds each suite's exit code and stdout sha256 at q_max 1500
+    argv = ["--format", "json", "verify", suite, "--q-max", "1500", "--jobs", "1"]
+    expected = json.loads(REFERENCE.read_text())[" ".join(argv)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == expected["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
 def test_deterministic_output(capsys):

@@ -137,22 +137,14 @@ def test_reports_are_deterministic_and_parallel_safe():
     assert lemmas.verify_lp1(100, jobs=2) == lemmas.verify_lp1(100)
 
 
-def _box(q_max, offset, min_quotient):
-    """(q, u) of a lemma sweep: u >= 2 divides q + offset with quotient >= min_quotient."""
-    for q in range(1, q_max + 1):
-        for u in range(2, (q + offset) // min_quotient + 1):
-            if (q + offset) % u == 0:
-                yield q, u
-
-
 def test_kernels_match_the_unshared_formulas():
     # the kernels share b = u(u+s) and t = qu+v between the two sides
     verdicts = set()
-    for q, u in _box(400, 2, 3):
+    for q, u in oracles.lemma_box(400, 2, 3):
         for s in range(1, u):
             for v in (1, 2):
                 assert lp1_point(q, u, s, v) == oracles.lp1_point(q, u, s, v), (q, u, s, v)
-    for q, u in _box(400, 3, 4):
+    for q, u in oracles.lemma_box(400, 3, 4):
         assert lp50_point(q, u) == oracles.lp50_point(q, u), (q, u)
         for s in range(1, u):
             for v in (1, 2, 3):
@@ -178,3 +170,33 @@ def test_kernels_match_the_unshared_formulas():
         for u in range(1, 100):
             assert lp50_point(q, u) == oracles.lp50_point(q, u), (q, u)
     assert min(verdicts.values()) > 1000 and ties > 10
+
+
+@pytest.mark.parametrize("q_max", [5, 17, 61, 200])
+def test_points_checked_is_the_box_size(q_max):
+    # counted point by point, not per u as the sweeps count
+    offset2 = list(oracles.lemma_box(q_max, 2, 3))
+    offset3 = list(oracles.lemma_box(q_max, 3, 4))
+    lp1 = sum(1 for q, u in offset2 for s in range(1, u) for v in (1, 2))
+    lp11 = sum(1 for q, u in offset3 for s in range(1, u) for v in (1, 2, 3))
+    lp50 = len(offset3)
+    assert lemmas.verify_lp1(q_max).points_checked == lp1
+    assert lemmas.verify_lp11(q_max).points_checked == lp11
+    assert lemmas.verify_lp50(q_max).points_checked == lp50
+    assert lemmas.verify_lp1(q_max, jobs=2).points_checked == lp1
+    if q_max == 5:
+        # the smallest boxes: (q, u) = (4, 2) for lp1 and (5, 2) for lp11 and lp50
+        assert (lp1, lp11, lp50) == (2, 3, 1)
+        assert lemmas.verify_lp1(4).points_checked == 2
+
+
+def test_admissible_divisors_match_trial_division():
+    for min_quotient in (3, 4):
+        for total in range(1, 5001):
+            expected = [
+                u for u in range(2, total // min_quotient + 1) if total % u == 0
+            ]
+            assert lemmas._admissible_divisors(total, min_quotient) == expected, (
+                total,
+                min_quotient,
+            )
