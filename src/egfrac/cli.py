@@ -189,43 +189,32 @@ def cmd_phi_samples(args) -> int:
 
 _ROWS_PER_WRITE = 2048  # threshold rows encoded per stdout write
 
-# One threshold row as csv.writer(lineterminator="\n") writes it: no field
-# needs quoting (ints, True/False, "a:b;c:d" pair lists).
+# The threshold rows as csv.writer(lineterminator="\n") writes them: no
+# field needs quoting (ints, True/False, "a:b;c:d" pair lists).
 _THRESHOLD_CSV_HEADER = "p,q,upsilon,greedy_is_best,unique,ties,losses\n"
-_ROW_CSV = "%d,%d,%d,%s,%s,%s,%s\n"
-# A row where greedy is the unique best: it has no ties and no losses.
-_PLAIN_ROW_CSV = "%d,%d,%d,True,True,,\n"
 
 
 def _pairs_csv(pairs) -> str:
-    return ";".join(["%d:%d" % pair for pair in pairs])
+    return ";".join([f"{x}:{y}" for x, y in pairs])
 
 
 def _written_as_csv(rows, write):
     """Yield each row unchanged, writing its csv line as it goes by.
 
-    A row where greedy is the unique best, most rows, fills the fixed
-    ``_PLAIN_ROW_CSV`` with its first three fields; any other row goes
-    through ``_ROW_CSV``. Lines are written 2048 at a time; the last,
-    partial batch is written when the rows run out.
+    A row where greedy is the unique best, most rows, has no ties and no
+    losses, so its line is its first three fields and a fixed tail; any
+    other row also writes its flags and pair lists. Lines are written 2048
+    at a time; the last, partial batch is written when the rows run out.
     """
     lines = []
     for row in rows:
         p, q, ups, greedy_is_best, unique, ties, losses = row
         if greedy_is_best and unique:
-            lines.append(_PLAIN_ROW_CSV % (p, q, ups))
+            lines.append(f"{p},{q},{ups},True,True,,\n")
         else:
             lines.append(
-                _ROW_CSV
-                % (
-                    p,
-                    q,
-                    ups,
-                    greedy_is_best,
-                    unique,
-                    _pairs_csv(ties) if ties else "",
-                    _pairs_csv(losses) if losses else "",
-                )
+                f"{p},{q},{ups},{greedy_is_best},{unique},"
+                f"{_pairs_csv(ties)},{_pairs_csv(losses)}\n"
             )
         if len(lines) == _ROWS_PER_WRITE:
             write("".join(lines))
@@ -235,60 +224,74 @@ def _written_as_csv(rows, write):
         write("".join(lines))
 
 
-# One threshold row tuple as json.dump(..., indent=2) lays out the object
-# with its 7 fields as keys, in order, inside the report's "rows" list:
-# ints, bools, lists of pairs.
-_ROW_JSON = (
-    '\n    {\n      "p": %d,\n      "q": %d,\n      "upsilon": %d,'
-    '\n      "greedy_is_best": %s,\n      "unique": %s,'
-    '\n      "ties": %s,\n      "losses": %s\n    }'
-)
-# The same object for a row where greedy is the unique best.
-_PLAIN_ROW_JSON = (
-    '\n    {\n      "p": %d,\n      "q": %d,\n      "upsilon": %d,'
-    '\n      "greedy_is_best": true,\n      "unique": true,'
-    '\n      "ties": [],\n      "losses": []\n    }'
-)
-_PAIR_JSON = "\n        [\n          %d,\n          %d\n        ]"
+# The encoders below write what json.dump(..., indent=2) writes for the
+# threshold report, as fixed layouts: an object in the report's "rows" or
+# "observations" list sits at indent 4, its keys at 6, the pairs of a
+# pair list at 8 and the pair's two ints at 10.
 _JSON_BOOL = {True: "true", False: "false"}
 
 
 def _pairs_json(pairs) -> str:
     if not pairs:
         return "[]"
-    return "[" + ",".join([_PAIR_JSON % pair for pair in pairs]) + "\n      ]"
+    items = ",".join([f"\n        [\n          {x},\n          {y}\n        ]" for x, y in pairs])
+    return f"[{items}\n      ]"
 
 
-def _row_json(row) -> str:
-    p, q, ups, greedy_is_best, unique, ties, losses = row
-    return _ROW_JSON % (
-        p,
-        q,
-        ups,
-        _JSON_BOOL[greedy_is_best],
-        _JSON_BOOL[unique],
-        _pairs_json(ties),
-        _pairs_json(losses),
+def _row_json(p, q, ups, greedy_is_best, unique, ties, losses) -> str:
+    """One threshold row as the object keyed by its 7 field names."""
+    return (
+        f'\n    {{\n      "p": {p},\n      "q": {q},\n      "upsilon": {ups},'
+        f'\n      "greedy_is_best": {_JSON_BOOL[greedy_is_best]},'
+        f'\n      "unique": {_JSON_BOOL[unique]},'
+        f'\n      "ties": {_pairs_json(ties)},\n      "losses": {_pairs_json(losses)}\n    }}'
+    )
+
+
+def _observation_json(obs) -> str:
+    """One observation of ``verify_threshold_rows``, a loss or the tie, in its key order."""
+    if obs["kind"] == "loss":
+        return (
+            f'\n    {{\n      "p": {obs["p"]},\n      "q": {obs["q"]},\n      "kind": "loss",'
+            f'\n      "upsilon": {obs["upsilon"]},'
+            f'\n      "losses": {_pairs_json(obs["losses"])}\n    }}'
+        )
+    return (
+        f'\n    {{\n      "p": {obs["p"]},\n      "q": {obs["q"]},\n      "kind": "tie",'
+        f'\n      "ties": {_pairs_json(obs["ties"])}\n    }}'
     )
 
 
 def _emit_threshold_json(report, rows) -> None:
     """Write ``json.dump({**report, "rows": rows}, indent=2)`` plus a newline.
 
-    Each row tuple is written as the object keyed by its field names. The
-    report keys go through ``json.dumps``; the rows, which are most of
-    the output, through the fixed-layout encoder above, in large writes.
-    A row where greedy is the unique best fills ``_PLAIN_ROW_JSON`` with
-    its first three fields and makes no ``_row_json`` call.
+    Each row tuple is written as the object keyed by its field names. Only
+    the report's five leading keys, which are small, go through
+    ``json.dumps``. Its observations, one per loss row, and the rows, most
+    of the output, go through the fixed layouts above, the rows in large
+    writes. A row where greedy is the unique best is one f-string filled
+    with its first three fields, with no ``_row_json`` call.
     """
     write = sys.stdout.write
-    head = json.dumps(report.to_json_dict(), indent=2)
-    write(head[:-2] + ',\n  "rows": [')  # head ends with "\n}"
+    payload = report.to_json_dict()
+    observations = payload.pop("observations")
+    passed = payload.pop("passed")
+    head = json.dumps(payload, indent=2)[:-2]  # it ends with "\n}"
+    if observations:
+        listed = ",".join([_observation_json(obs) for obs in observations])
+        head += f',\n  "observations": [{listed}\n  ]'
+    else:
+        head += ',\n  "observations": []'
+    write(f'{head},\n  "passed": {_JSON_BOOL[passed]},\n  "rows": [')
     for start in range(0, len(rows), _ROWS_PER_WRITE):
         chunk = ",".join(
             [
-                _PLAIN_ROW_JSON % row[:3] if row[3] and row[4] else _row_json(row)
-                for row in rows[start : start + _ROWS_PER_WRITE]
+                f'\n    {{\n      "p": {p},\n      "q": {q},\n      "upsilon": {u},'
+                '\n      "greedy_is_best": true,\n      "unique": true,'
+                '\n      "ties": [],\n      "losses": []\n    }'
+                if g and un
+                else _row_json(p, q, u, g, un, ti, lo)
+                for p, q, u, g, un, ti, lo in rows[start : start + _ROWS_PER_WRITE]
             ]
         )
         write(chunk if start == 0 else "," + chunk)

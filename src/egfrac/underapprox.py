@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from contextlib import closing
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import _backend, rational
 from ._backend import _closing_term, _error_floor
 from ._pool import ordered_map, worker_count
-from .errors import DomainError, SearchInconclusive
+from .counterexamples import select_v
+from .errors import DomainError, InvariantViolation, SearchInconclusive
 from .greedy import _require_unit_interval, expand, upsilon
 from .report import VerificationReport
 
@@ -302,17 +303,37 @@ TIE_POINT = (10, 17)
 TIE_SET = [(2, 12), (3, 4)]
 
 
+def _constructed_losses(q_max: int) -> set[tuple[int, int]]:
+    """The p/q of ``counterexamples.construct(k)`` with q <= q_max, k >= 4.
+
+    Each is (k+1)/(k((k+1)v - 1)) with v = select_v(k), reduced since k
+    and (k+1)v - 1 are prime to k+1; q >= k^2, so k <= isqrt(q_max).
+    ``construct`` itself is not called: it re-derives the greedy pair.
+    """
+    losses = set()
+    for k in range(4, isqrt(q_max) + 1):
+        v, _ = select_v(k)
+        q = k * ((k + 1) * v - 1)
+        if q <= q_max:
+            losses.add((k + 1, q))
+    return losses
+
+
 def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationReport:
     """Check the two-term threshold on ``threshold_sweep`` rows, in a single pass.
 
     For upsilon(p, q) <= 3 the greedy pair must be optimal, and uniquely
     so except exactly at 10/17 where the tie set must be {(2,12), (3,4)}.
     For upsilon >= 4, rows where greedy loses are recorded as
-    observations without being asserted either way.
+    observations without being asserted either way, except at the
+    constructed counterexamples: greedy provably loses at every
+    ``_constructed_losses(q_max)`` fraction, so one that is not a loss row
+    raises InvariantViolation once the rows run out.
     """
     failures: list[tuple] = []
     observations: list[dict] = []
     points = 0
+    unmet = _constructed_losses(q_max)
     for p, q, ups, greedy_is_best, unique, ties, losses in rows:
         points += 1
         if ups <= 3:
@@ -326,6 +347,7 @@ def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationRepo
             elif not (greedy_is_best and unique):
                 failures.append((p, q))
         elif not greedy_is_best:
+            unmet.discard((p, q))
             observations.append(
                 {
                     "p": p,
@@ -335,6 +357,10 @@ def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationRepo
                     "losses": [list(t) for t in losses],
                 }
             )
+    if unmet:
+        raise InvariantViolation(
+            f"greedy is not beaten at the constructed counterexamples {sorted(unmet)}"
+        )
     return VerificationReport(
         lemma_id="threshold",
         range_descr=f"reduced p/q, p < q <= {q_max}",

@@ -105,6 +105,30 @@ def test_best_budget_is_one_node_per_x_tried(capsys):
     assert f"search budget exhausted after {nodes} nodes (budget {nodes - 1})" in err
 
 
+# Searches of the benchmark's mterm-search workload that perfbench/reference.json
+# records as exit 4 (inconclusive), so the benchmark never compares their bytes.
+# Each optimal tuple set was confirmed against oracles.branch_and_bound_m_term.
+_BEST_SHA256 = {
+    "best 1 20 --m 4 --budget 500000":
+        "cd32baff324b61b77c055fccf52adfff693b9c4aceb745618dba32b4bfa2bac0",
+    "best 1 27 --m 4 --budget 500000":
+        "5466bfbc94f0b60f52b908d2e9cd12967e75f1feb979113a559630e60ead9a70",
+    "best 4 31 --m 4 --budget 500000":
+        "f5aff9bf06bbdaa4505ebbb1c6e6b5b4d87745456e86a27a6f55fbc6395fd11a",
+    "best 6 35 --m 4 --budget 500000":
+        "11f09d25b940374eaa2a2dc4c59b27ccc97961533f19e405ce1644f2f6d5352e",
+    "best 10 17 --m 5 --budget 500000":
+        "d0bafd8b502f7afffa66aeffc69eec5f753d482c6a37aea19025f908247a9dd0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_BEST_SHA256))
+def test_best_searches_decided_since_the_reference_are_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _BEST_SHA256[argv]
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_best_budget_below_one_is_a_domain_error(capsys, budget):
     code, out, err = run_cli(capsys, "best", "10", "17", "--m", "2", "--budget", budget)
@@ -424,7 +448,7 @@ def test_row_encoders_match_json_dumps_and_csv_writer(row):
         "losses": [list(t) for t in losses],
     }
     # the template is laid out as an item of the report's "rows" list
-    in_list = '{\n  "rows": [' + cli._row_json(row) + "\n  ]\n}"
+    in_list = '{\n  "rows": [' + cli._row_json(*row) + "\n  ]\n}"
     assert in_list == json.dumps({"rows": [obj]}, indent=2)
 
     expected = io.StringIO()
@@ -457,8 +481,42 @@ def test_threshold_failure_exits_5_in_every_format(capsys, monkeypatch):
     for fmt in ("json", "csv", "plain"):
         code, out, _ = run_cli(capsys, "--format", fmt, "verify", "threshold", "--q-max", "20")
         assert code == cli.EXIT_VERIFY_FAILED, fmt
-        assert out
+        if fmt == "json":
+            # the failing report's head is laid out as json.dumps lays it out
+            assert out == _threshold_json_via_json_dump(20)
+            payload = json.loads(out)
+            assert payload["failures"] == [[1, 7]] and payload["passed"] is False
+            assert payload["observations"]
+        elif fmt == "csv":
+            assert out == _threshold_csv_via_csv_writer(20)
     assert out.startswith("FAIL threshold") and "failure at (1, 7)" in out
+
+
+def test_unbeaten_counterexample_exits_6_in_every_format(capsys, monkeypatch):
+    rows_for_q = underapprox._threshold_rows_for_q
+
+    def broken(q):  # 5/16 = construct(4): greedy provably loses there
+        rows = rows_for_q(q)
+        if q == 16:
+            rows = [(5, 16, 4, True, True, (), ()) if r[0] == 5 else r for r in rows]
+        return rows
+
+    monkeypatch.setattr(underapprox, "_threshold_rows_for_q", broken)
+    for fmt in ("json", "csv", "plain"):
+        code, _, err = run_cli(capsys, "--format", fmt, "verify", "threshold", "--q-max", "20")
+        assert code == cli.EXIT_INVARIANT, fmt
+        assert err.startswith("invariant violation") and "(5, 16)" in err
+
+
+# the benchmark's threshold argvs: json at q_max 400 (--jobs 1) and csv at
+# q_max 700, recorded at --jobs 2 and run here at --jobs 1
+@pytest.mark.parametrize("fmt, q_max, jobs", [("json", 400, 1), ("csv", 700, 2)])
+def test_threshold_matches_the_benchmark_reference(capsys, fmt, q_max, jobs):
+    argv = ["--format", fmt, "verify", "threshold", "--q-max", str(q_max)]
+    expected = json.loads(REFERENCE.read_text())[" ".join(argv + ["--jobs", str(jobs)])]
+    code, out, _ = run_cli(capsys, *argv, "--jobs", "1")
+    assert code == expected["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])

@@ -10,7 +10,7 @@ from operator import mul
 
 import pytest
 
-from egfrac import _backend, underapprox
+from egfrac import _backend, counterexamples, underapprox
 from egfrac.errors import DomainError, SearchInconclusive
 from oracles import (
     branch_and_bound_m_term,
@@ -265,6 +265,16 @@ def test_verify_threshold_sweep_small():
     assert [(o["p"], o["q"]) for o in ties] == [(10, 17)]
     losses = [(o["p"], o["q"]) for o in report.observations if o["kind"] == "loss"]
     assert (5, 16) in losses
+
+
+def test_constructed_losses_are_the_construct_fractions():
+    # construct(k).q >= k^2, so k < 45 covers q <= 2000
+    built = [counterexamples.construct(k) for k in range(4, 45)]
+    expected = {(ce.p, ce.q) for ce in built if ce.q <= 2000}
+    assert len(expected) == 18
+    assert underapprox._constructed_losses(2000) == expected
+    assert underapprox._constructed_losses(15) == set()
+    assert underapprox._constructed_losses(16) == {(5, 16)}
 
 
 def test_threshold_sweep_parallel_matches_serial():
