@@ -36,7 +36,6 @@ from .greedy import (
     closed_form_p_divides_q_plus_1,
     closed_form_upsilon2_odd_q,
     closed_form_upsilon_divides_q,
-    cubic_growth_index,
     delta_index,
     ell_index,
     eventual_quadratic_recurrence,
@@ -63,7 +62,6 @@ from .report import VerificationReport
 from .underapprox import (
     UnderapproxResult,
     best_m_term,
-    best_two_term,
     threshold_sweep,
 )
 

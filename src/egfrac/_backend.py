@@ -1,21 +1,17 @@
-"""Sweep kernels: the hot inner loops of the verification sweeps.
+"""Sweep kernels: the hot inner loops of the searches and sweeps.
 
-One row of the threshold sweep is one ``two_term_scan`` call, and one
-lemma point is one ``lp*_point`` call. Everything here is integer-only
-(floors via integer division, comparisons via cross-multiplication), so
-a sweep over millions of points never allocates a Fraction, and every
-function is exact for arbitrarily large inputs.
-
-``_closing_term`` and ``_error_floor`` are the last-two-level solver of
-``underapprox.best_m_term``, whose docstring holds the proof that the
-error floor may close the range. ``two_term_scan`` is the same solver at
-m = 2 and partial sum 0 with both helpers written out, so that each x1
-forms its products once.
+``two_term_scan`` is the one solver of the last two levels of a best
+underapproximation search: one call per row of the threshold sweep, and
+one per node at level m - 1 of ``underapprox.best_m_term``. One lemma
+point is one ``lp*_point`` call. Everything here is integer-only (floors
+via integer division, comparisons via cross-multiplication), so a sweep
+over millions of points never allocates a Fraction, and every function
+is exact for arbitrarily large inputs.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from typing import Optional
 
 
 def backend_name() -> str:
@@ -23,68 +19,69 @@ def backend_name() -> str:
     return "pure"
 
 
-def _closing_term(a: int, b: int, x: int) -> tuple[int, int, int]:
-    """Best last term y >= x after x, for residual a/b and x > b/a.
+def two_term_scan(
+    a: int, b: int, x: int, e_num: int, e_den: int, cap: Optional[int] = None
+) -> tuple[int, int, list[tuple[int, int]], int, int, bool]:
+    """Best pairs x <= y, with x from ``x`` on, that underapproximate a/b.
 
-    Returns (y, num, den) with a/b - 1/x - 1/y = num/den > 0, not reduced.
+    a/b is a reduced residual, ``x`` > b/a, and e_num/e_den >= 0 the
+    incumbent's error: a/b or more when there is no incumbent yet, or
+    when every pair beats it. A pair
+    (x, y) counts when a/b - 1/x - 1/y is at most that error. No x above
+    ``cap`` is tried (None: no cap). Returns
+    ``(e_num, e_den, pairs, stop, pruned, done)``: the least error reached,
+    not reduced (the incumbent's when no pair beats it); every pair that
+    reaches it, in order of x (empty when none does); the first x not
+    tried, so ``stop - x`` were tried; how many x the error floor closed
+    without trying them; and False when the scan stopped at the cap with
+    x still left in its range.
+
+    For each x, d = a*x - b > 0, and the best partner is
+    y = max(x, floor(b*x/d) + 1), the least y >= x with 1/y < a/b - 1/x =
+    d/(b*x). Its error is a/b - 1/x - 1/y = (d*y - b*x)/(b*x*y). At
+    x = floor(b/a) + 1, d is the divisibility index upsilon(a, b), and d
+    grows by a per step.
+
+    A pair with error at most e has 1/x + 1/y >= a/b - e, and 2/x >= 1/x +
+    1/y, so x <= U = floor(2/(a/b - e)); once a pair (x, y) sets e, U is
+    floor(2xy/(x + y)). With no incumbent below a/b there is no U yet, and
+    the first pair tried beats it. The range is closed early by a bound on
+    the error. With y unconstrained, y = floor(b*x/d) + 1 gives the error
+    (d - (b*x mod d))/(b*x*y) >= 1/g(x), because the numerator is >= 1
+    and y <= b*x/d + 1, so b*x*y <= b^2 x^2/d + b*x = g(x), where
+
+        g(x) = b^2 x^2/(a*x - b) + b*x = b*x*(b*x + d)/d.
+
+    Forcing y = x (when floor(b*x/d) + 1 < x) only lowers the sum, so the
+    error of the pair actually taken is >= 1/g(x) too. Write t = a*x - b
+    > 0: then g = (b/a)^2 (t + 2b + b^2/t) + b*x, a convex function of t
+    plus a linear one, so g is convex on x > b/a. On [X, U] it therefore
+    stays <= max(g(X), g(U)), and every x in [X, U] has error
+    >= 1/max(g(X), g(U)). When that error floor is strictly above e, no x
+    in [X, U] can beat or tie the incumbent, and the range is closed at X,
+    so ties are still found. U and g(U) are recomputed whenever e
+    improves. The floor is checked before the cap, so an x just past the
+    cap can still close the range.
     """
-    d = a * x - b
-    bx = b * x
-    y = bx // d + 1
-    if y < x:
-        y = x
-    return y, d * y - bx, bx * y
-
-
-def _error_floor(a: int, b: int, x: int) -> tuple[int, int]:
-    """g(x) = b^2 x^2/(a*x - b) + b*x as (num, den), for x > b/a.
-
-    Every pair (x, y) with y >= x, for residual a/b, misses it by at
-    least 1/g(x); see ``underapprox.best_m_term``.
-    """
-    d = a * x - b
-    bx = b * x
-    return bx * (bx + d), d
-
-
-def two_term_scan(p: int, q: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
-    """Complete search for the best two-term underapproximation of p/q.
-
-    Requires 0 < p/q <= 1 in lowest terms. Returns
-    ``(a1, a2, best_num, best_den, tuples)`` where (a1, a2) is the greedy
-    pair, best_num/best_den the optimal sum in lowest terms, and tuples
-    the sorted list of every optimal pair (x1 <= x2), ties included.
-
-    This is the last-two-level solver of ``best_m_term`` at m = 2 and
-    partial sum s = 0, with ``_closing_term`` and ``_error_floor`` written
-    out so that each x1 = x forms d = p*x - q and bx = q*x once (at
-    x = a1, d is upsilon(p, q)). The best partner of x is
-    y = max(x, bx//d + 1), with error (d*y - bx)/(bx*y), and every pair
-    (x, y) misses by at least 1/g(x) with g(x) = bx*(bx + d)/d. The x1
-    range is [a1, floor(2/B)] for the incumbent sum B, and it closes
-    early once the error floor 1/max(g(x1), g(floor(2/B))) is strictly
-    above the incumbent's error p/q - B, so ties are still found. The
-    bound and the incumbent's error are recomputed whenever B improves.
-    """
-    a1 = q // p + 1
-    d = p * a1 - q
-    bx = q * a1
-    a2 = bx // d + 1  # > a1, as p/q - 1/a1 <= 1/a1
-    e_num, e_den = d * a2 - bx, bx * a2
-    b1, b2 = a1, a2
-    found = [(a1, a2)]
-    upper = 2 * a1 * a2 // (a1 + a2)
-    far = None  # 1/g(upper) > p/q - B, computed once the range is entered
-    x = a1 + 1
+    pairs = []
+    gap = a * e_den - b * e_num  # (a/b - e) * b * e_den
+    if gap > 0:
+        upper = 2 * b * e_den // gap
+        far = None  # 1/g(upper) > e, computed once the range is entered
+    else:  # the pair at x beats the incumbent and sets the range
+        upper = x
+        far = False
     while x <= upper:
-        d = p * x - q
-        bx = q * x
+        d = a * x - b
+        bx = b * x
         if far is None:
-            du = p * upper - q
-            bu = q * upper
+            du = a * upper - b
+            bu = b * upper
             far = bu * (bu + du) * e_num < du * e_den
         if far and bx * (bx + d) * e_num < d * e_den:
-            break
+            return e_num, e_den, pairs, x, upper - x + 1, True
+        if cap is not None and x > cap:
+            return e_num, e_den, pairs, x, 0, False
         y = bx // d + 1
         if y < x:
             y = x
@@ -94,17 +91,13 @@ def two_term_scan(p: int, q: int) -> tuple[int, int, int, int, list[tuple[int, i
         rhs = e_num * den
         if lhs < rhs:
             e_num, e_den = num, den
-            b1, b2 = x, y
-            found = [(x, y)]
+            pairs = [(x, y)]
             upper = 2 * x * y // (x + y)
             far = None
         elif lhs == rhs:
-            found.append((x, y))
+            pairs.append((x, y))
         x += 1
-
-    s_num, s_den = b1 + b2, b1 * b2
-    g = gcd(s_num, s_den)
-    return a1, a2, s_num // g, s_den // g, found
+    return e_num, e_den, pairs, x, 0, True
 
 
 def lp1_point(q: int, u: int, s: int, v: int) -> bool:

@@ -162,7 +162,8 @@ def cmd_phi_samples(args) -> int:
     if denom < 2:
         raise DomainError("--denom must be >= 2")
     lo = args.min_num if args.min_num is not None else (denom + 9) // 10
-    lo = max(1, lo)
+    if not 1 <= lo <= denom:
+        raise DomainError("--min-num must be between 1 and --denom")
     rows = []
     for num in range(lo, denom + 1):
         theta = Fraction(num, denom)

@@ -203,6 +203,8 @@ def check_fractional_claims(claim: str, j_max: int) -> VerificationReport:
     residue, claimed_of = _CLAIMS[claim]
     s_min, first, _, v_of = _BRACKETS[residue]
     j_min = first(s_min)
+    if j_max < j_min:
+        raise DomainError(f"j_max must be >= {j_min} for {claim}")
     failures = []
     points = 0
     for j in range(j_min, j_max + 1):

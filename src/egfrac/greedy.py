@@ -432,15 +432,13 @@ def eventual_quadratic_recurrence(p: int, q: int, horizon: int) -> bool:
     )
 
 
-def growth_condition_check(seq: Sequence[int], n: int, cubic: bool = False) -> bool:
+def growth_condition_check(seq: Sequence[int], n: int) -> bool:
     """Check the growth inequality along a finite denominator prefix.
 
-    Default form: c_{k+1} >= n*c_k**2 - c_k + 1 for every consecutive
-    pair (targets whose expansions satisfy it at every step are exactly
-    those where the greedy term ties the best numerator-n choice forever,
-    and they are all irrational). With ``cubic=True`` the inequality
-    checked is c_{k+1} >= c_k**3 - c_k + 1 and, when some prefix element
-    reaches n, the first such 1-based index is asserted to be <= n.
+    c_{k+1} >= n*c_k**2 - c_k + 1 for every consecutive pair (targets
+    whose expansions satisfy it at every step are exactly those where the
+    greedy term ties the best numerator-n choice forever, and they are all
+    irrational).
 
     Only the finitely many stated inequalities are checked; no claim is
     made about any infinite tail.
@@ -451,21 +449,4 @@ def growth_condition_check(seq: Sequence[int], n: int, cubic: bool = False) -> b
         raise DomainError("first term must be >= 2")
     if n < 1:
         raise DomainError("n must be a positive integer")
-    if cubic:
-        ok = all(seq[i + 1] >= seq[i] ** 3 - seq[i] + 1 for i in range(len(seq) - 1))
-        if ok:
-            m_n = cubic_growth_index(seq, n)
-            if m_n is not None and m_n > n:
-                raise InvariantViolation(
-                    f"first index with c_m >= {n} is {m_n} > {n}"
-                )
-        return ok
     return all(seq[i + 1] >= n * seq[i] ** 2 - seq[i] + 1 for i in range(len(seq) - 1))
-
-
-def cubic_growth_index(seq: Sequence[int], n: int) -> Optional[int]:
-    """First 1-based index with seq[i] >= n, or None if the prefix stays below."""
-    for i, c in enumerate(seq, start=1):
-        if c >= n:
-            return i
-    return None

@@ -10,15 +10,14 @@ only one among reduced fractions with divisibility index <= 3.
 ``best_m_term`` is a branch-and-bound over nondecreasing tuples. At
 level i < m - 1 with partial sum s it tries every x_i in
 [max(x_{i-1}, floor(1/(theta-s)) + 1), floor((m-i+1)/(B-s))], where B is
-the incumbent best sum. The last two levels are solved exactly: for each
-x_{m-1} the best last term is a closed form, and a convex lower bound on
-the error closes the x_{m-1} range as soon as no further x_{m-1} can
-reach the incumbent. Exceeding the node budget raises SearchInconclusive
-rather than returning a partial answer. The closed form and the bound
-are ``_backend._closing_term`` and ``_backend._error_floor``. The sweep
-kernel ``_backend.two_term_scan`` is the same solver at m = 2 and
-partial sum 0, with both written out; it backs ``best_two_term`` and the
-threshold sweep.
+the incumbent best sum. The last two levels are solved exactly by
+``_backend.two_term_scan``: for each x_{m-1} the best last term is a
+closed form, and a convex lower bound on the error closes the x_{m-1}
+range as soon as no further x_{m-1} can reach the incumbent. Exceeding
+the node budget raises SearchInconclusive rather than returning a
+partial answer. The best two-term underapproximation is
+``best_m_term(theta, 2)``; the threshold sweep calls the same kernel
+once per row, with no incumbent.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import _backend, rational
-from ._backend import _closing_term, _error_floor
 from ._pool import ordered_map, worker_count
 from .counterexamples import select_v
 from .errors import DomainError, InvariantViolation, SearchInconclusive
@@ -80,26 +78,6 @@ class UnderapproxResult(NamedTuple):
         }
 
 
-def best_two_term(theta: Fraction) -> UnderapproxResult:
-    """Best two-term underapproximation by exhaustive scan, all ties returned."""
-    _require_unit_interval(theta)
-    a1, a2, best_num, best_den, tuples = _backend.two_term_scan(
-        theta.numerator, theta.denominator
-    )
-    greedy_sum = Fraction(1, a1) + Fraction(1, a2)
-    optimal_sum = Fraction(best_num, best_den)
-    return UnderapproxResult(
-        theta=theta,
-        m=2,
-        greedy_terms=[a1, a2],
-        greedy_sum=greedy_sum,
-        optimal_tuples=tuples,
-        optimal_sum=optimal_sum,
-        greedy_is_best=optimal_sum == greedy_sum,
-        unique=len(tuples) == 1,
-    )
-
-
 def best_m_term(
     theta: Fraction,
     m: int,
@@ -108,36 +86,17 @@ def best_m_term(
 ) -> UnderapproxResult:
     """Complete search for the best m-term underapproximation.
 
-    The incumbent starts at the greedy m-term sum (always feasible), so
-    the level-i upper bound floor((m-i+1)/(B-s)) prunes immediately;
-    branches that can only tie the incumbent are kept, so the returned
-    tuple set is exactly the argmax.
+    The incumbent starts at the greedy m-term sum B (always feasible) and
+    is kept as its error theta - B, so the level-i upper bound
+    floor((m-i+1)/(B-s)) prunes immediately; branches that can only tie
+    the incumbent are kept, so the returned tuple set is exactly the
+    argmax.
 
-    Levels 1..m-2 are enumerated. The last two are solved exactly: with
-    residual r = a/b = theta - s (reduced) after the first m-2 terms, each
-    x = x_{m-1} >= max(x_{m-2}, floor(b/a) + 1) has d = a*x - b > 0, and
-    its best last term is y = max(x, floor(b*x/d) + 1), the least y >= x
-    with 1/y < r - 1/x = d/(b*x). Its error is r - 1/x - 1/y =
-    (d*y - b*x)/(b*x*y). At x = floor(b/a) + 1, d is the divisibility
-    index upsilon(a, b), and d grows by a per step.
-
-    The x range is closed by a bound on that error. With y unconstrained,
-    y = floor(b*x/d) + 1 gives the error (d - (b*x mod d))/(b*x*y) >= 1/g(x),
-    because the numerator is >= 1 and y <= b*x/d + 1, so
-    b*x*y <= b^2 x^2/d + b*x = g(x), where
-
-        g(x) = b^2 x^2/(a*x - b) + b*x = b*x*(b*x + d)/d.
-
-    Forcing y = x (when floor(b*x/d) + 1 < x) only lowers the sum, so the
-    error of the pair actually recorded is >= 1/g(x) too. Write t = a*x - b
-    > 0: then g = (b/a)^2 (t + 2b + b^2/t) + b*x, a convex function of t
-    plus a linear one, so g is convex on x > b/a. On [X, U] it therefore
-    stays <= max(g(X), g(U)), and every x in [X, U] has error
-    >= 1/max(g(X), g(U)). U = floor(2/(B-s)) is the level's range bound.
-    When that error floor is strictly above the incumbent's error
-    theta - B, no x in [X, U] can beat or tie the incumbent, and the range
-    is closed at X. U, theta - B and g(U) are recomputed whenever the
-    incumbent improves. All of this is integer cross-multiplication.
+    Levels 1..m-2 are enumerated. The last two are one
+    ``_backend.two_term_scan`` call for the residual theta - s (reduced)
+    from x_{m-1} = max(x_{m-2}, floor(1/(theta-s)) + 1), against the
+    incumbent's error; its docstring holds the closed form of the last
+    term and the proof of the error floor that closes the x_{m-1} range.
 
     ``budget`` caps the number of search nodes, one per x tried at levels
     1..m-1; exceeding it raises SearchInconclusive. ``digit_guard`` is
@@ -156,7 +115,8 @@ def best_m_term(
     for a in greedy_terms:
         bn, bd = bn * a + bd, bd * a
     g = gcd(bn, bd)
-    best = [bn // g, bd // g]
+    bn, bd = bn // g, bd // g
+    e_num, e_den = p * bd - bn * q, q * bd  # theta - B for the incumbent sum B
     found: set[tuple[int, ...]] = {tuple(greedy_terms)}
     nodes = [0] * (m - 1)
     pruned = [0] * (m - 1)
@@ -170,23 +130,8 @@ def best_m_term(
             raise SearchInconclusive(total, budget)
         nodes[level - 1] += 1
 
-    def record(tup: tuple[int, ...], c_num: int, c_den: int) -> bool:
-        """Add a candidate sum; True when it beats the incumbent."""
-        g = gcd(c_num, c_den)
-        c_num //= g
-        c_den //= g
-        lhs = c_num * best[1]
-        rhs = best[0] * c_den
-        if lhs > rhs:
-            best[0], best[1] = c_num, c_den
-            found.clear()
-            found.add(tup)
-            return True
-        if lhs == rhs:
-            found.add(tup)
-        return False
-
     def descend(level: int, prev: int, s_num: int, s_den: int) -> None:
+        nonlocal total, e_num, e_den
         # residual theta - s, reduced to keep intermediates small
         r_num = p * s_den - s_num * q
         r_den = q * s_den
@@ -195,47 +140,36 @@ def best_m_term(
         r_den //= g
         x = max(prev, r_den // r_num + 1)
         if level == m - 1:
-            last_two(x, s_num, s_den, r_num, r_den)
+            cap = None if budget is None else x + budget - total - 1
+            n_num, n_den, pairs, stop, cut, done = _backend.two_term_scan(
+                r_num, r_den, x, e_num, e_den, cap
+            )
+            total += stop - x
+            if not done:
+                raise SearchInconclusive(total + 1, budget)  # the node at stop
+            nodes[level - 1] += stop - x
+            pruned[level - 1] += cut
+            if pairs:
+                if n_num * e_den < e_num * n_den:
+                    g = gcd(n_num, n_den)
+                    e_num, e_den = n_num // g, n_den // g
+                    found.clear()
+                found.update(tuple(prefix) + pair for pair in pairs)
             return
         remaining = m - level + 1
-        # keep x only while s + remaining/x can still reach the incumbent
-        while (s_num * x + remaining * s_den) * best[1] >= best[0] * s_den * x:
+        # keep x only while s + remaining/x can still reach the incumbent,
+        # i.e. while theta - s - remaining/x <= theta - B
+        while (r_num * x - remaining * r_den) * e_den <= e_num * r_den * x:
             tick(level)
             prefix.append(x)
             descend(level + 1, x, s_num * x + s_den, s_den * x)
             prefix.pop()
             x += 1
 
-    def last_two(x: int, s_num: int, s_den: int, a: int, b: int) -> None:
-        level = m - 1
-        head = tuple(prefix)
-        upper = None  # None until the limits are computed for the current incumbent
-        while True:
-            if upper is None:
-                gap = best[0] * s_den - s_num * best[1]  # (B - s) * bd * s_den
-                if gap > 0:  # else B <= s, and the first record lifts B above s
-                    upper = 2 * best[1] * s_den // gap
-                    e_num, e_den = p * best[1] - best[0] * q, q * best[1]  # theta - B
-                    g_num, g_den = _error_floor(a, b, upper)
-                    far = g_num * e_num < g_den * e_den  # 1/g(U) > theta - B
-            if upper is not None:
-                if x > upper:
-                    return
-                if far:
-                    g_num, g_den = _error_floor(a, b, x)
-                    if g_num * e_num < g_den * e_den:
-                        pruned[level - 1] += upper - x + 1
-                        return
-            tick(level)
-            y, err_num, err_den = _closing_term(a, b, x)
-            if record(head + (x, y), p * err_den - err_num * q, q * err_den):
-                upper = None
-            x += 1
-
     if m > 1:
         descend(1, 2, 0, 1)
 
-    optimal_sum = Fraction(best[0], best[1])
+    optimal_sum = theta - Fraction(e_num, e_den)
     greedy_sum = Fraction(bn, bd)
     tuples = sorted(found)
     return UnderapproxResult(
@@ -258,7 +192,8 @@ def _threshold_rows_for_q(q: int) -> list[tuple]:
     for p in range(1, q):
         if gcd(p, q) != 1:
             continue
-        a1, _, _, _, tuples = scan(p, q)
+        a1 = q // p + 1
+        tuples = scan(p, q, a1, p, q)[2]
         unique = len(tuples) == 1
         # every optimal pair with x1 = a1 is the greedy pair, and none has x1 < a1
         if tuples[0][0] == a1:

@@ -261,6 +261,18 @@ def test_verify_tables_and_claims(capsys):
     assert all(r["passed"] for r in payload)
 
 
+def test_verify_claims_rejects_an_empty_claim_range(capsys):
+    # cls2's range starts at j = 12: at --j-max 11 it would check no point
+    code, out, err = run_cli(capsys, "verify", "claims", "--j-max", "11")
+    assert code == 2 and out == ""
+    assert "j_max must be >= 12 for cls2" in err
+    code, out, _ = run_cli(capsys, "verify", "claims", "--j-max", "12")
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["points_checked"] for r in payload] == [12, 1, 7]
+    assert all(r["passed"] for r in payload)
+
+
 def test_verify_roots(capsys):
     code, out, _ = run_cli(capsys, "verify", "roots", "--s-max", "25")
     assert code == 0
@@ -279,6 +291,13 @@ def test_phi_samples_csv(capsys):
     assert by_theta[("2", "3")]["phi_num"] == "2"
     # the grid k/12 for k = 2..12 collapses to reduced fractions, up to 1/1
     assert ("1", "1") in by_theta
+
+
+@pytest.mark.parametrize("min_num", ["0", "-3", "13"])
+def test_phi_samples_min_num_outside_the_grid_is_a_domain_error(capsys, min_num):
+    code, out, err = run_cli(capsys, "phi-samples", "--denom", "12", "--min-num", min_num)
+    assert code == 2 and out == ""
+    assert "--min-num" in err
 
 
 def test_plain_format(capsys):

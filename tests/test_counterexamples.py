@@ -98,7 +98,7 @@ def test_construct_sweep_small():
         assert c.q % c.k == 0
         assert c.margin > 0
         # the beating pair is findable by the complete two-term search
-        best = underapprox.best_two_term(Fraction(c.p, c.q))
+        best = underapprox.best_m_term(Fraction(c.p, c.q), 2)
         assert not best.greedy_is_best
 
 

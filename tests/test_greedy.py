@@ -312,9 +312,6 @@ def test_growth_condition_check():
     assert not greedy.growth_condition_check([2, 7, 85], 2)
     assert greedy.growth_condition_check([2, 7, 92], 2)
     assert greedy.growth_condition_check(SYLVESTER_8, 1)
-    assert greedy.growth_condition_check([2, 7, 337], 1, cubic=True)
-    assert greedy.cubic_growth_index([2, 7, 337], 5) == 2
-    assert greedy.cubic_growth_index([2, 7], 100) is None
     with pytest.raises(DomainError):
         greedy.growth_condition_check([], 1)
     with pytest.raises(DomainError):

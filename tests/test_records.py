@@ -12,7 +12,7 @@ RECORDS = {
     "UpsilonProfile": lambda: greedy.upsilon_profile(7, 54),
     "StepReport": lambda: greedy.step_report(Fraction(1, 7), 1, 2),
     "Counterexample": lambda: counterexamples.construct(4),
-    "UnderapproxResult": lambda: underapprox.best_two_term(Fraction(10, 17)),
+    "UnderapproxResult": lambda: underapprox.best_m_term(Fraction(10, 17), 2),
     "VerificationReport": lemmas.verify_lp12,
 }
 

@@ -22,8 +22,15 @@ from oracles import (
 SYLVESTER = (2, 3, 7, 43, 1807, 3263443)
 
 
+def _two_term(p, q):
+    """The kernel's best two-term sum and pairs for p/q, with no incumbent."""
+    e_num, e_den, pairs, _, _, done = _backend.two_term_scan(p, q, q // p + 1, p, q)
+    assert done
+    return Fraction(p, q) - Fraction(e_num, e_den), pairs
+
+
 def test_best_two_term_greedy_loses_at_5_16():
-    r = underapprox.best_two_term(Fraction(5, 16))
+    r = underapprox.best_m_term(Fraction(5, 16), 2)
     assert r.greedy_terms == [4, 17]
     assert r.optimal_tuples == [(5, 9)]
     assert r.optimal_sum == Fraction(1, 5) + Fraction(1, 9)
@@ -32,38 +39,35 @@ def test_best_two_term_greedy_loses_at_5_16():
 
 
 def test_best_two_term_tie_at_10_17():
-    r = underapprox.best_two_term(Fraction(10, 17))
+    r = underapprox.best_m_term(Fraction(10, 17), 2)
     assert r.optimal_tuples == [(2, 12), (3, 4)]
     assert r.greedy_is_best
     assert not r.unique
 
 
 def test_best_two_term_unique_at_3_7():
-    r = underapprox.best_two_term(Fraction(3, 7))
+    r = underapprox.best_m_term(Fraction(3, 7), 2)
     assert r.optimal_tuples == [(3, 11)]
     assert r.greedy_is_best and r.unique
 
 
 def test_best_two_term_domain():
     with pytest.raises(DomainError):
-        underapprox.best_two_term(Fraction(3, 2))
+        underapprox.best_m_term(Fraction(3, 2), 2)
 
 
 def test_best_m_term_matches_two_term_search():
     for p, q in [(10, 17), (5, 16), (3, 7), (8, 61), (1, 1)]:
-        a = underapprox.best_two_term(Fraction(p, q))
         b = underapprox.best_m_term(Fraction(p, q), 2)
-        assert a.optimal_sum == b.optimal_sum
-        assert a.optimal_tuples == b.optimal_tuples
+        assert _two_term(p, q) == (b.optimal_sum, b.optimal_tuples)
 
 
 def test_two_term_scan_matches_best_m_term_on_every_fraction():
-    # the scan writes out the closing term and error floor that best_m_term
-    # calls as helpers; both must give the same optimum and tie set
+    # the sweep's call starts with no incumbent, best_m_term's with the
+    # greedy pair's error; both must give the same optimum and tie set
     for p, q in reduced_fractions(150):
-        a = underapprox.best_two_term(Fraction(p, q))
         b = underapprox.best_m_term(Fraction(p, q), 2)
-        assert (a.optimal_sum, a.optimal_tuples) == (b.optimal_sum, b.optimal_tuples), (p, q)
+        assert _two_term(p, q) == (b.optimal_sum, b.optimal_tuples), (p, q)
 
 
 def test_best_m_term_m1_is_greedy_singleton():
@@ -122,16 +126,24 @@ def test_closing_term_is_exact_and_above_the_error_floor():
         g = gcd(a, b)
         a, b = a // g, b // g
         x = b // a + 1 + rng.choice((0, 1, 2, rng.randint(0, 10**4)))
-        y, num, den = _backend._closing_term(a, b, x)
+        # with no incumbent and cap = x, the scan takes exactly the pair at x
+        num, den, pairs, stop, _, _ = _backend.two_term_scan(a, b, x, a, b, x)
+        [(x1, y)] = pairs
+        assert x1 == x and stop == x + 1
         error = Fraction(a, b) - Fraction(1, x) - Fraction(1, y)
         assert error == Fraction(num, den) > 0
         assert y >= x and (y == x or Fraction(1, y - 1) >= Fraction(a, b) - Fraction(1, x))
         d = a * x - b
         if y > x:  # the unconstrained best partner: the closed form of its error
             assert error == Fraction(d - (b * x) % d, b * x * y)
-        g_num, g_den = _backend._error_floor(a, b, x)
-        assert Fraction(g_num, g_den) == Fraction(b * b * x * x, d) + b * x
-        assert error * Fraction(g_num, g_den) >= 1
+        g = Fraction(b * b * x * x, d) + b * x
+        assert error * g >= 1
+        # the error floor never closes the range at an x whose pair ties
+        assert _backend.two_term_scan(a, b, x, num, den, x)[:3] == (num, den, [(x, y)])
+        # and it closes at once a range no pair can reach: every error is > 0
+        upper = 2 * b // a
+        if x <= upper:
+            assert _backend.two_term_scan(a, b, x, 0, 1, x) == (0, 1, [], x, upper - x + 1, True)
 
 
 def test_best_m_term_of_one_is_sylvester():
@@ -180,13 +192,34 @@ def test_search_effort_is_reported_outside_the_answer():
     assert underapprox.best_m_term(Fraction(10, 17), 1).nodes_per_level == ()
 
 
+@pytest.mark.parametrize(
+    "p, q, m, nodes, pruned",
+    [
+        (10, 17, 5, (7, 67, 2322, 2), (0, 0, 0, 823951)),
+        (5, 16, 5, (13, 171, 7296, 2), (0, 0, 0, 6866641)),
+        (1, 1, 5, (4, 13, 51, 1), (0, 0, 0, 327)),
+        (4, 31, 4, (24, 1084, 1), (0, 0, 554352)),
+        (11, 24, 4, (6, 43, 2), (0, 0, 585)),
+        (7, 54, 3, (16, 1), (0, 459)),
+        (5, 16, 3, (6, 2), (0, 39)),
+    ],
+)
+def test_search_effort_is_pinned(p, q, m, nodes, pruned):
+    r = underapprox.best_m_term(Fraction(p, q), m)
+    assert (r.nodes_per_level, r.pruned_per_level) == (nodes, pruned)
+    # the exact node count is the least budget that decides the search
+    assert underapprox.best_m_term(Fraction(p, q), m, budget=sum(nodes)) == r
+    with pytest.raises(SearchInconclusive, match=f"after {sum(nodes)} nodes"):
+        underapprox.best_m_term(Fraction(p, q), m, budget=sum(nodes) - 1)
+
+
 def test_every_nongreedy_competitor_passes_na23_bounds():
     # competitors: non-greedy optimal pairs (ties or wins) found by full
     # search; each must satisfy, with (a1, a2) the greedy pair,
     # a1+1 <= x1 <= 2*a1-1 <= x2 < a1*x1/(x1-a1) and x2 <= a2-1
     seen = 0
     for p, q in reduced_fractions(60):
-        r = underapprox.best_two_term(Fraction(p, q))
+        r = underapprox.best_m_term(Fraction(p, q), 2)
         a1, a2 = greedy_prefix(p, q, 2)[0]
         for x1, x2 in r.optimal_tuples:
             if (x1, x2) == (a1, a2):
