@@ -2,8 +2,10 @@
 
 ``two_term_scan`` is the one solver of the last two levels of a best
 underapproximation search: one call per row of the threshold sweep, and
-one per node at level m - 1 of ``underapprox.best_m_term``. One lemma
-point is one ``lp*_point`` call. Everything here is integer-only (floors
+one per node at level m - 1 of ``underapprox.best_m_term``. The lemmas
+lp1, lp11 and lp50 are one floor inequality with offset c (2 for lp1, 3
+for the others), written once in ``_offset_point``; one lemma point is
+one ``lp*_point`` call. Everything here is integer-only (floors
 via integer division, comparisons via cross-multiplication), so a sweep
 over millions of points never allocates a Fraction, and every function
 is exact for arbitrarily large inputs.
@@ -100,38 +102,30 @@ def two_term_scan(
     return e_num, e_den, pairs, x, 0, True
 
 
-def lp1_point(q: int, u: int, s: int, v: int) -> bool:
-    """Point check of the divisor-offset-2 floor inequality.
+def _offset_point(c: int):
+    """The point check of the divisor-offset-c floor inequality.
 
-    floor(qu(u+s) / (s(q+2)+2u)) > (qu+v)u(u+s) / (squ+vs+2u(u+s)) - 1,
-    decided exactly by cross-multiplication. With b = u(u+s) and
-    t = qu+v the right side is t*b / (s*t + 2b), so both products are
-    formed once.
+    The returned ``point(q, u, s, v)`` decides
+
+        floor(q*u*(u+s) / (s*(q+c) + c*u)) > (qu+v)*u*(u+s) / (squ+vs+cu(u+s)) - 1
+
+    exactly, by cross-multiplication. With b = u(u+s) and t = qu+v the
+    right side is t*b / (s*t + c*b), so both products are formed once.
     """
-    b = u * (u + s)
-    t = q * u + v
-    lhs = q * b // (s * (q + 2) + 2 * u)
-    return (lhs + 1) * (s * t + 2 * b) > t * b
+
+    def point(q: int, u: int, s: int, v: int) -> bool:
+        b = u * (u + s)
+        t = q * u + v
+        lhs = q * b // (s * (q + c) + c * u)
+        return (lhs + 1) * (s * t + c * b) > t * b
+
+    return point
 
 
-def lp11_point(q: int, u: int, s: int, v: int) -> bool:
-    """Point check of the divisor-offset-3 floor inequality (general s).
-
-    The offset-3 form of ``lp1_point``: floor(q*b / (s(q+3)+3u)) >
-    t*b / (s*t + 3b) - 1 with b = u(u+s), t = qu+v.
-    """
-    b = u * (u + s)
-    t = q * u + v
-    lhs = q * b // (s * (q + 3) + 3 * u)
-    return (lhs + 1) * (s * t + 3 * b) > t * b
-
-
-def lp50_point(q: int, u: int) -> bool:
-    """Point check of the divisor-offset-3 inequality at s = 1, v = 3."""
-    b = u * (u + 1)
-    t = q * u + 3
-    lhs = q * b // (q + 3 * (u + 1))
-    return (lhs + 1) * (t + 3 * b) > t * b
+# One function object per lemma, so a caller can count each lemma's calls.
+lp1_point = _offset_point(2)
+lp11_point = _offset_point(3)
+lp50_point = _offset_point(3)  # lp11 at s = 1, v = 3
 
 
 def lp12_point(s: int) -> bool:

@@ -20,6 +20,7 @@ import os
 import sys
 from contextlib import closing
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from . import counterexamples, greedy, lemmas, underapprox
@@ -40,6 +41,8 @@ EXIT_INVARIANT = 6
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `cmd | head`
 
 DEFAULT_DIGIT_GUARD = 10_000
+
+_ROWS_PER_WRITE = 2048  # threshold and phi-samples rows encoded per stdout write
 
 
 def _reduced(p: int, q: int) -> tuple[int, int]:
@@ -157,6 +160,34 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _phi_rows(lo: int, denom: int):
+    """(theta num, theta den, phi num, phi den) as strings, for num/denom from lo."""
+    for num in range(lo, denom + 1):
+        theta = Fraction(num, denom)
+        value = greedy.phi(theta)
+        yield (
+            str(theta.numerator),
+            str(theta.denominator),
+            str(value.numerator),
+            str(value.denominator),
+        )
+
+
+def _emit_json_list(items) -> None:
+    """Write ``json.dumps(list(items), indent=2)`` plus a newline, in batches.
+
+    Each batch of ``_ROWS_PER_WRITE`` items is one ``json.dumps`` call with
+    its brackets cut off, so memory stays flat however many items come.
+    """
+    items = iter(items)
+    write = sys.stdout.write
+    sep = "["
+    for batch in iter(lambda: list(islice(items, _ROWS_PER_WRITE)), []):
+        write(sep + json.dumps(batch, indent=2)[1:-2])  # "[" ... "\n]"
+        sep = ","
+    write("[]\n" if sep == "[" else "\n]\n")
+
+
 def cmd_phi_samples(args) -> int:
     denom = args.denom
     if denom < 2:
@@ -164,31 +195,16 @@ def cmd_phi_samples(args) -> int:
     lo = args.min_num if args.min_num is not None else (denom + 9) // 10
     if not 1 <= lo <= denom:
         raise DomainError("--min-num must be between 1 and --denom")
-    rows = []
-    for num in range(lo, denom + 1):
-        theta = Fraction(num, denom)
-        value = greedy.phi(theta)
-        rows.append(
-            (
-                str(theta.numerator),
-                str(theta.denominator),
-                str(value.numerator),
-                str(value.denominator),
-            )
-        )
+    rows = _phi_rows(lo, denom)
     if args.format == "json":
-        _emit_json(
-            [
-                {"theta": {"num": r[0], "den": r[1]}, "phi": {"num": r[2], "den": r[3]}}
-                for r in rows
-            ]
+        _emit_json_list(
+            {"theta": {"num": r[0], "den": r[1]}, "phi": {"num": r[2], "den": r[3]}}
+            for r in rows
         )
     else:
         _emit_csv(["theta_num", "theta_den", "phi_num", "phi_den"], rows)
     return EXIT_OK
 
-
-_ROWS_PER_WRITE = 2048  # threshold rows encoded per stdout write
 
 # The threshold rows as csv.writer(lineterminator="\n") writes them: no
 # field needs quoting (ints, True/False, "a:b;c:d" pair lists).

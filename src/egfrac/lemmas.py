@@ -21,20 +21,24 @@ The brute-force sub-facts quoted inside the lemma proofs (which small
 parameter triples survive an integrality constraint) are reproduced by
 the ``*_survivors`` helpers.
 
-Each box point is exactly one ``_backend`` kernel call, looked up from
-``_backend`` when a q is scanned, so call counts equal the points
-checked. For each q the admissible u come from divisor pairs
-(d, total/d) with d <= isqrt(total), 37 remainders at q = 1500 instead
-of one per candidate u (up to 499); each (u, s) makes its kernel calls
-written out, one per v, and the points are counted per u as
-len(vs) * (u - 1) rather than one by one.
+lp1, lp11 and lp50 are one inequality with offset c, written once in
+``_backend._offset_point``, over boxes that differ only in c, the least
+quotient (q + c)/u and the (s, v) values; ``_BOXES`` lists them, and one
+scan serves all three. Each box point is exactly one ``_backend`` kernel
+call, looked up from ``_backend`` when a q is scanned, so call counts
+equal the points checked. For each q the admissible u come from divisor
+pairs (d, total/d) with d <= isqrt(total), 37 remainders at q = 1500
+instead of one per candidate u (up to 499), and the points are counted
+per u as len(vs) * len(ss) rather than one by one.
 
-Sweeps partition their q-range across workers when ``jobs > 1``; merged
-reports are sorted, so worker count never changes output content.
+Sweeps partition their q-range across workers when ``jobs > 1``; the
+per-q results are added up as they arrive and the failures sorted, so
+worker count never changes output content.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import isqrt
 
 from . import _backend
@@ -57,21 +61,56 @@ def _admissible_divisors(total: int, min_quotient: int) -> list[int]:
     ]
 
 
-def _map_q_range(worker, qs, jobs: int):
-    return list(ordered_map(worker, qs, worker_count(jobs), chunksize=32))
+# lemma -> (kernel, offset c, least quotient (q+c)/u, s values, v values);
+# s values None means 1 <= s < u. The kernel is named, not held, and looked
+# up when a q is scanned, so a kernel replaced on ``_backend`` is the one
+# called.
+_BOXES = {
+    "lp1": ("lp1_point", 2, 3, None, (1, 2)),
+    "lp11": ("lp11_point", 3, 4, None, (1, 2, 3)),
+    "lp50": ("lp50_point", 3, 4, (1,), (3,)),
+}
 
 
-def _lp1_scan_q(q: int) -> tuple[int, list[tuple]]:
-    point = _backend.lp1_point
+def _scan_q(lemma: str, q: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Points checked at q, and the failing (q, u, s, v).
+
+    s is the inner loop, over the longer range: one loop setup per v
+    rather than per s makes the scan as fast as calls written out per v.
+    """
+    name, c, least, s_values, vs = _BOXES[lemma]
+    point = getattr(_backend, name)
     points = 0
     failures = []
-    for u in _admissible_divisors(q + 2, 3):
-        points += 2 * (u - 1)
-        for s in range(1, u):
-            if not point(q, u, s, 1):
-                failures.append((q, u, s, 1))
-            if not point(q, u, s, 2):
-                failures.append((q, u, s, 2))
+    for u in _admissible_divisors(q + c, least):
+        ss = range(1, u) if s_values is None else s_values
+        points += len(vs) * len(ss)
+        for v in vs:
+            for s in ss:
+                if not point(q, u, s, v):
+                    failures.append((q, u, s, v))
+    return points, failures
+
+
+def _sweep(lemma: str, q_max: int, jobs: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Points checked and the sorted failing points of the box up to q_max.
+
+    The per-q results are added up as they arrive, so no per-q list is
+    kept.
+    """
+    _, c, least, _, _ = _BOXES[lemma]
+    first_q = 2 * least - c  # u = 2 at the least quotient
+    if q_max < first_q:
+        raise DomainError(f"q_max must be >= {first_q}")
+    results = ordered_map(
+        partial(_scan_q, lemma), range(first_q, q_max + 1), worker_count(jobs), chunksize=32
+    )
+    points = 0
+    failures = []
+    for n, found in results:
+        points += n
+        failures += found
+    failures.sort()
     return points, failures
 
 
@@ -81,11 +120,7 @@ def verify_lp1(q_max: int, jobs: int = 1) -> VerificationReport:
     Box: q <= q_max, u >= 2 with (q+2)/u an integer >= 3, v in {1, 2},
     1 <= s <= u - 1.
     """
-    if q_max < 4:
-        raise DomainError("q_max must be >= 4")
-    results = _map_q_range(_lp1_scan_q, range(4, q_max + 1), jobs)
-    points = sum(r[0] for r in results)
-    failures = sorted(f for r in results for f in r[1])
+    points, failures = _sweep("lp1", q_max, jobs)
     return VerificationReport(
         lemma_id="lp1",
         range_descr=f"4 <= q <= {q_max}, u | q+2, (q+2)/u >= 3, s < u, v in {{1,2}}",
@@ -93,22 +128,6 @@ def verify_lp1(q_max: int, jobs: int = 1) -> VerificationReport:
         failures=failures,
         expected_exceptions=[],
     )
-
-
-def _lp11_scan_q(q: int) -> tuple[int, list[tuple]]:
-    point = _backend.lp11_point
-    points = 0
-    failing = []
-    for u in _admissible_divisors(q + 3, 4):
-        points += 3 * (u - 1)
-        for s in range(1, u):
-            if not point(q, u, s, 1):
-                failing.append((q, u, s, 1))
-            if not point(q, u, s, 2):
-                failing.append((q, u, s, 2))
-            if not point(q, u, s, 3):
-                failing.append((q, u, s, 3))
-    return points, failing
 
 
 def verify_lp11(q_max: int, jobs: int = 1) -> VerificationReport:
@@ -119,11 +138,7 @@ def verify_lp11(q_max: int, jobs: int = 1) -> VerificationReport:
     (q, u) = (17, 2) and (61, 8); the observed failing (s, v) points are
     recorded, with the exact-tie flag.
     """
-    if q_max < 5:
-        raise DomainError("q_max must be >= 5")
-    results = _map_q_range(_lp11_scan_q, range(5, q_max + 1), jobs)
-    points = sum(r[0] for r in results)
-    failing_points = sorted(f for r in results for f in r[1])
+    points, failing_points = _sweep("lp11", q_max, jobs)
     observations = [
         {
             "q": q,
@@ -156,23 +171,14 @@ def _point_is_tie_lp11(q: int, u: int, s: int, v: int) -> bool:
     return (lhs + 1) * (s * t + 3 * b) == t * b
 
 
-def _lp50_scan_q(q: int) -> tuple[int, list[tuple]]:
-    point = _backend.lp50_point
-    divisors = _admissible_divisors(q + 3, 4)
-    return len(divisors), [(q, u) for u in divisors if not point(q, u)]
-
-
 def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
     """Sweep the offset-3 inequality at s = 1, v = 3 over all (q, u).
 
     Box: q <= q_max, u >= 2 with (q+3)/u an integer >= 4. Expected to
     fail exactly at (17, 2) and (61, 8); their verdicts are recorded.
     """
-    if q_max < 5:
-        raise DomainError("q_max must be >= 5")
-    results = _map_q_range(_lp50_scan_q, range(5, q_max + 1), jobs)
-    points = sum(r[0] for r in results)
-    failures = sorted(f for r in results for f in r[1])
+    points, failing_points = _sweep("lp50", q_max, jobs)
+    failures = [(q, u) for (q, u, _, _) in failing_points]
     observations = [
         {"q": q, "u": u, "holds": False, "equality": _point_is_tie_lp11(q, u, 1, 3)}
         for (q, u) in failures

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -298,6 +299,62 @@ def test_phi_samples_min_num_outside_the_grid_is_a_domain_error(capsys, min_num)
     code, out, err = run_cli(capsys, "phi-samples", "--denom", "12", "--min-num", min_num)
     assert code == 2 and out == ""
     assert "--min-num" in err
+
+
+def _phi_samples_as_lists(fmt, denom):
+    """phi-samples output with every row built before it is encoded."""
+    rows = []
+    for num in range((denom + 9) // 10, denom + 1):
+        theta = Fraction(num, denom)
+        value = greedy.phi(theta)
+        rows.append((str(theta.numerator), str(theta.denominator),
+                     str(value.numerator), str(value.denominator)))
+    if fmt == "json":
+        return json.dumps(
+            [{"theta": {"num": a, "den": b}, "phi": {"num": c, "den": d}} for a, b, c, d in rows],
+            indent=2,
+        ) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["theta_num", "theta_den", "phi_num", "phi_den"])
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+# 2 and 3 give one and two rows; 5000 gives 4,501 rows, three json batches
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("denom", [2, 3, 12, 30, 97, 1000, 5000])
+def test_phi_samples_streamed_equals_the_list_form(capsys, fmt, denom):
+    code, out, _ = run_cli(capsys, "--format", fmt, "phi-samples", "--denom", str(denom))
+    assert code == 0
+    assert out == _phi_samples_as_lists(fmt, denom)
+
+
+def test_json_list_of_no_items_is_json_dumps(capsys):
+    cli._emit_json_list(iter([]))
+    assert capsys.readouterr().out == json.dumps([], indent=2) + "\n"
+
+
+# With every row held in a list before it is encoded, both runs end in
+# MemoryError under this data limit; streamed, both peak near 20 MB of RSS.
+@pytest.mark.parametrize("fmt, denom", [("json", 60_000), ("csv", 150_000)])
+def test_phi_samples_runs_in_bounded_memory(tmp_path, fmt, denom):
+    limit = 48 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_DATA, ({limit}, {limit}))\n"
+        "from egfrac.cli import main\n"
+        f"sys.exit(main(['--format', {fmt!r}, 'phi-samples', '--denom', '{denom}']))\n"
+    )
+    out_path = tmp_path / "out"
+    with open(out_path, "wb") as out:
+        proc = subprocess.run([sys.executable, "-c", script], env=_cli_env(), stdout=out,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    with open(out_path, "rb") as out:
+        out.seek(-40, os.SEEK_END)
+        tail = out.read()
+    assert tail.endswith(b'"1"\n    }\n  }\n]\n' if fmt == "json" else b"\n1,1,1,1\n")
 
 
 def test_plain_format(capsys):
@@ -658,6 +715,39 @@ def test_sweep_fails_fast_when_a_worker_dies():
         [sys.executable, "-c", script], env=_cli_env(), capture_output=True, text=True, timeout=30
     )
     assert proc.stdout == "BrokenProcessPool\n", proc.stderr
+
+
+POOLED_ARGVS = [
+    *(["verify", suite, "--q-max", "300"] for suite in ("lp1", "lp11", "lp50")),
+    ["--format", "csv", "verify", "threshold", "--q-max", "120"],
+]
+
+
+# macOS starts pool workers with spawn, and Linux with forkserver from
+# Python 3.14 on: the workers then import everything they run afresh.
+@two_cpus
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pooled_sweeps_without_fork_match_jobs_1(capsys, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    script = (
+        "import io, json, multiprocessing, sys\n"
+        f"multiprocessing.set_start_method({method!r}, force=True)\n"
+        "from egfrac.cli import main\n"
+        "results = []\n"
+        f"for argv in {POOLED_ARGVS!r}:\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    results.append([main(argv + ['--jobs', '2']), sys.stdout.getvalue()])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(json.dumps(results))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_cli_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    pooled = json.loads(proc.stdout)
+    for argv, (code, out) in zip(POOLED_ARGVS, pooled, strict=True):
+        assert [code, out] == list(run_cli(capsys, *argv, "--jobs", "1")[:2]), argv
 
 
 # The header is flushed just before the workers are forked, and the first

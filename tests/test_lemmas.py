@@ -47,8 +47,8 @@ def test_lp50_sweep_and_spot_points():
     assert report.passed
     assert report.failures == [(17, 2), (61, 8)]
     assert all(not o["equality"] for o in report.observations)
-    assert lp50_point(13, 4)
-    assert not lp50_point(17, 2)
+    assert lp50_point(13, 4, 1, 3)
+    assert not lp50_point(17, 2, 1, 3)
 
 
 def _lp50_tie_by_fractions(q, u):
@@ -145,7 +145,7 @@ def test_kernels_match_the_unshared_formulas():
             for v in (1, 2):
                 assert lp1_point(q, u, s, v) == oracles.lp1_point(q, u, s, v), (q, u, s, v)
     for q, u in oracles.lemma_box(400, 3, 4):
-        assert lp50_point(q, u) == oracles.lp50_point(q, u), (q, u)
+        assert lp50_point(q, u, 1, 3) == oracles.lp50_point(q, u), (q, u)
         for s in range(1, u):
             for v in (1, 2, 3):
                 point = (q, u, s, v)
@@ -168,7 +168,7 @@ def test_kernels_match_the_unshared_formulas():
                     verdicts[lp11_point(*point)] += 1
                     ties += tie
         for u in range(1, 100):
-            assert lp50_point(q, u) == oracles.lp50_point(q, u), (q, u)
+            assert lp50_point(q, u, 1, 3) == oracles.lp50_point(q, u), (q, u)
     assert min(verdicts.values()) > 1000 and ties > 10
 
 
