@@ -15,8 +15,11 @@ upsilon(p, q) (the least m >= 1 with p | q+m), its nonnegative variant
 ell, the integral-reciprocal index delta, the step function
 ``phi(theta) = 1/(G(theta) - 1/theta)``, the best numerator-N
 underapproximant denominator, the four-way equivalence report for
-``1/a_m = N/b_m``, and closed forms for the expansion in the three
-divisibility families where one is known.
+``1/a_m = N/b_m``, and the closed form of the expansion where one is
+known. ``upsilon_profile`` is the one place the divisibility families
+are told apart (upsilon | q, upsilon = 2 with q odd, p | q+1);
+``closed_form`` reads the family from it. p | q+1 is the upsilon = 1
+case of upsilon | q and shares its formula.
 
 Everything is a pure function of exact rationals; nothing here touches
 floating point.
@@ -25,7 +28,7 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import rational
@@ -77,23 +80,18 @@ def superior_denominator(e: Fraction, n: int) -> int:
     return (n * e.denominator) // e.numerator + 1
 
 
-def greedy_steps(theta: Fraction) -> Iterator[tuple[int, Fraction]]:
+def greedy_steps(
+    theta: Fraction, digit_guard: Optional[int] = None
+) -> Iterator[tuple[int, Fraction]]:
     """Yield (a_m, e_m) forever: the m-th denominator and the exact error.
 
     The error is carried incrementally; its numerator never exceeds the
     (reduced) numerator of theta, only denominators explode.
+    ``digit_guard`` raises DigitGuardExceeded, before any arithmetic on
+    it, once a denominator a_m has more than that many decimal digits;
+    None means no cap. A cap below 1 digit is a DomainError.
     """
     _require_unit_interval(theta)
-    yield from _guarded_steps(theta, None)
-
-
-def _guarded_steps(theta: Fraction, digit_guard: Optional[int]) -> Iterator[tuple[int, Fraction]]:
-    """``greedy_steps`` with a cap on the denominators' length.
-
-    Raises DigitGuardExceeded, before any arithmetic on it, once a
-    denominator a_m has more than ``digit_guard`` decimal digits; None
-    means no cap. A cap below 1 digit is a DomainError.
-    """
     if digit_guard is not None and digit_guard < 1:
         raise DomainError(f"digit guard must be at least 1, got {digit_guard}")
     # a below 2**safe_bits has at most digit_guard digits, since
@@ -153,7 +151,7 @@ def expand(theta: Fraction, m: int, digit_guard: Optional[int] = None) -> Expans
     if m < 1:
         raise DomainError("term count must be >= 1")
     terms: list[int] = []
-    for _, (a, e) in zip(range(m), _guarded_steps(theta, digit_guard)):
+    for _, (a, e) in zip(range(m), greedy_steps(theta, digit_guard)):
         terms.append(a)
     return Expansion(theta, terms, e, _observed_recurrence_start(terms))
 
@@ -172,7 +170,8 @@ def ell_index(p: int, q: int) -> int:
     Zero exactly when p divides q (which for reduced input forces p = 1);
     otherwise equal to upsilon(p, q).
     """
-    _require_reduced(p, q)
+    if _reduced(p, q) != (p, q):
+        raise DomainError(f"{p}/{q} is not in lowest terms")
     return (-q) % p
 
 
@@ -195,13 +194,14 @@ def delta_index(p: int, q: int) -> int:
     )
 
 
-def _require_reduced(p: int, q: int) -> None:
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms, for positive p <= q."""
     if p < 1 or q < 1:
         raise DomainError("p and q must be positive integers")
     if p > q:
         raise DomainError("expected p/q in (0, 1]")
-    if gcd(p, q) != 1:
-        raise DomainError(f"{p}/{q} is not in lowest terms")
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 class UpsilonProfile(NamedTuple):
@@ -230,13 +230,12 @@ class UpsilonProfile(NamedTuple):
 
 
 def upsilon_profile(p: int, q: int) -> UpsilonProfile:
-    """Reduce p/q and report upsilon, ell, delta and the closed-form family."""
-    if p < 1 or q < 1:
-        raise DomainError("p and q must be positive integers")
-    if p > q:
-        raise DomainError("expected p/q in (0, 1]")
-    g = gcd(p, q)
-    p, q = p // g, q // g
+    """Reduce p/q and report upsilon, ell, delta and the closed-form family.
+
+    The only place the family conditions are written; ``closed_form``
+    reads them from here.
+    """
+    p, q = _reduced(p, q)
     ups = upsilon(p, q)
     if (q + 1) % p == 0:
         family = FAMILY_P_DIVIDES_Q_PLUS_1
@@ -301,7 +300,7 @@ def step_report(
     _require_unit_interval(theta)
     if m < 1 or n < 1:
         raise DomainError("m and n must be positive integers")
-    steps = _guarded_steps(theta, digit_guard)
+    steps = greedy_steps(theta, digit_guard)
     e_before = theta  # ends as e_{m-1}
     e_after = theta
     a_m = 0
@@ -326,8 +325,33 @@ def step_report(
     return StepReport(m, a_m, n, b_m, cond_i, cond_ii, cond_iii, cond_iv, phi_value)
 
 
-def _check_against_expansion(p: int, q: int, terms: list[int]) -> list[int]:
-    computed = expand(Fraction(p, q), len(terms)).terms
+def closed_form(p: int, q: int, m: int) -> list[int]:
+    """First m expansion terms of reduced p/q from its family's closed form.
+
+    Upsilon | q (p | q+1 is upsilon = 1): a_1 = (q + upsilon)/p and
+    a_{n+1} = (q/upsilon) * prod(a_1..a_n) + 1. Upsilon = 2, q odd:
+    a_1 = (q+2)/p, a_2 = floor(q*a_1/2) + 1, then base q. "General" is a
+    DomainError. The terms must equal the greedy expansion, and for p = 1
+    follow a_{n+1} = a_n**2 - a_n + 1; else InvariantViolation.
+    """
+    if m < 1:
+        raise DomainError("term count must be >= 1")
+    p, q, ups, _, _, family = upsilon_profile(p, q)
+    if family == FAMILY_GENERAL:
+        raise DomainError(f"no closed form is known for {p}/{q}")
+    terms = [(q + ups) // p]
+    base = q // ups
+    if family == FAMILY_UPSILON2_ODD_Q:
+        terms.append(q * terms[0] // 2 + 1)
+        base = q
+    product = prod(terms)
+    while len(terms) < m:
+        terms.append(base * product + 1)
+        product *= terms[-1]
+    del terms[m:]
+    if p == 1 and m > 1 and _observed_recurrence_start(terms) != 1:
+        raise InvariantViolation(f"p = 1 family must follow the quadratic recurrence, q = {q}")
+    computed = expand(Fraction(p, q), m).terms
     if computed != terms:
         raise InvariantViolation(
             f"closed form disagrees with the greedy expansion of {p}/{q}: "
@@ -336,100 +360,19 @@ def _check_against_expansion(p: int, q: int, terms: list[int]) -> list[int]:
     return terms
 
 
-def closed_form_upsilon_divides_q(p: int, q: int, m: int) -> list[int]:
-    """Expansion terms when upsilon(p, q) divides q.
-
-    a_1 = (q + upsilon)/p and a_n = (q/upsilon) * prod(a_1..a_{n-1}) + 1
-    for n >= 2. The result is verified against the greedy expansion.
-    """
-    if m < 1:
-        raise DomainError("term count must be >= 1")
-    if p < 1 or q < 1 or p > q:
-        raise DomainError("expected p/q in (0, 1]")
-    ups = upsilon(p, q)
-    if q % ups != 0:
-        raise DomainError(f"upsilon({p},{q}) = {ups} does not divide {q}")
-    terms = [(q + ups) // p]
-    prod = terms[0]
-    base = q // ups
-    for _ in range(m - 1):
-        a = base * prod + 1
-        terms.append(a)
-        prod *= a
-    return _check_against_expansion(p, q, terms)
-
-
-def closed_form_upsilon2_odd_q(p: int, q: int, m: int) -> list[int]:
-    """Expansion terms when q is odd and upsilon(p, q) = 2.
-
-    a_1 = (q+2)/p, a_2 = floor(q*a_1/2) + 1, and
-    a_n = q * prod(a_1..a_{n-1}) + 1 for n >= 3; verified against greedy.
-    """
-    if m < 1:
-        raise DomainError("term count must be >= 1")
-    if p < 1 or q < 1 or p > q:
-        raise DomainError("expected p/q in (0, 1]")
-    if q % 2 == 0:
-        raise DomainError("q must be odd")
-    if upsilon(p, q) != 2:
-        raise DomainError(f"upsilon({p},{q}) must be 2")
-    terms = [(q + 2) // p]
-    if m >= 2:
-        terms.append((q * terms[0]) // 2 + 1)
-        prod = terms[0] * terms[1]
-        for _ in range(m - 2):
-            a = q * prod + 1
-            terms.append(a)
-            prod *= a
-    return _check_against_expansion(p, q, terms)
-
-
-def closed_form_p_divides_q_plus_1(p: int, q: int, m: int) -> list[int]:
-    """Expansion terms when p divides q + 1.
-
-    a_1 = (q+1)/p and a_{n+1} = q * prod(a_1..a_n) + 1. For p = 1 this
-    collapses to the quadratic recurrence a_{n+1} = a_n**2 - a_n + 1
-    (with a_1 = q + 1), which is asserted as well. Verified against greedy.
-    """
-    if m < 1:
-        raise DomainError("term count must be >= 1")
-    if p < 1 or q < 1 or p > q:
-        raise DomainError("expected p/q in (0, 1]")
-    if (q + 1) % p != 0:
-        raise DomainError(f"{p} does not divide {q} + 1")
-    terms = [(q + 1) // p]
-    prod = terms[0]
-    for _ in range(m - 1):
-        a = q * prod + 1
-        terms.append(a)
-        prod *= a
-    if p == 1:
-        for i in range(1, len(terms)):
-            if terms[i] != terms[i - 1] ** 2 - terms[i - 1] + 1:
-                raise InvariantViolation(
-                    f"p = 1 family must follow the quadratic recurrence, "
-                    f"broken at index {i + 1} for q = {q}"
-                )
-    return _check_against_expansion(p, q, terms)
-
-
 def eventual_quadratic_recurrence(p: int, q: int, horizon: int) -> bool:
     """Check a_{n+1} = a_n**2 - a_n + 1 for all ell+1 <= n < horizon.
 
     For reduced p/q the residual after ell steps has an integral
-    reciprocal, which forces the recurrence from index ell + 1 on; this
-    verifies that fact on the computed prefix. (The recurrence often
-    starts earlier; Expansion.recurrence_start records the observed
-    index.)
+    reciprocal, which forces the recurrence from index ell + 1 on. On the
+    first ``horizon`` terms, ``Expansion.recurrence_start`` (often
+    earlier) must then be at most ell + 1.
     """
     ell = ell_index(p, q)
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    terms = expand(Fraction(p, q), horizon).terms
-    return all(
-        terms[i] == terms[i - 1] * terms[i - 1] - terms[i - 1] + 1
-        for i in range(ell + 1, horizon)
-    )
+    start = expand(Fraction(p, q), horizon).recurrence_start
+    return horizon <= ell + 1 or (start is not None and start <= ell + 1)
 
 
 def growth_condition_check(seq: Sequence[int], n: int) -> bool:

@@ -19,7 +19,8 @@ endpoint checks at s = 156 cover the tail).
 
 The brute-force sub-facts quoted inside the lemma proofs (which small
 parameter triples survive an integrality constraint) are reproduced by
-the ``*_survivors`` helpers.
+the ``*_survivors`` helpers; the offset-2 and offset-3 cases solve one
+equation with offset c, scanned once by ``_offset_survivors``.
 
 lp1, lp11 and lp50 are one inequality with offset c, written once in
 ``_backend._offset_point``, over boxes that differ only in c, the least
@@ -250,6 +251,20 @@ def verify_lp12() -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _offset_survivors(c: int, j_offset: int, u_range, k_range, s_min: int):
+    """(u, s, k, ell) with integral ell >= 0 in the offset-c proofs' equation.
+
+    k*u**2 - 2cu - cs = (ks+c)*ell + (ks + j_offset), scanned with u
+    outermost, then k, then s_min <= s <= u - 1.
+    """
+    for u in u_range:
+        for k in k_range:
+            for s in range(s_min, u):
+                num = k * u * u - 2 * c * u - c * s - (k * s + j_offset)
+                if num >= 0 and num % (k * s + c) == 0:
+                    yield u, s, k, num // (k * s + c)
+
+
 def lp1_case_survivors(k: int) -> list[tuple[int, int, int]]:
     """Triples (u, s, ell) with integral ell in the offset-2 proof's box.
 
@@ -259,13 +274,7 @@ def lp1_case_survivors(k: int) -> list[tuple[int, int, int]]:
     """
     if k not in (3, 5):
         raise DomainError("the proof's case split only needs k in {3, 5}")
-    out = []
-    for u in range(2, 12):
-        for s in range(1, u):
-            num = k * u * u - 4 * u - 2 * s - (k * s + 1)
-            if num >= 0 and num % (k * s + 2) == 0:
-                out.append((u, s, num // (k * s + 2)))
-    return out
+    return [(u, s, ell) for u, s, _, ell in _offset_survivors(2, 1, range(2, 12), (k,), 1)]
 
 
 _LP11_CASES = {
@@ -288,16 +297,11 @@ def lp11_case_survivors(case: str) -> list[tuple[int, int, int, int]]:
     if case not in _LP11_CASES:
         raise DomainError(f"unknown case {case!r}; expected one of {sorted(_LP11_CASES)}")
     j_offset, _v, u_range, k_range, s_min, small = _LP11_CASES[case]
-    out = []
-    for u in u_range:
-        for k in k_range:
-            for s in range(s_min, u):
-                num = k * u * u - 6 * u - 3 * s - (k * s + j_offset)
-                if num >= 0 and num % (k * s + 3) == 0:
-                    ell = num // (k * s + 3)
-                    if small(s, ell, u):
-                        out.append((u, s, k, ell))
-    return out
+    return [
+        (u, s, k, ell)
+        for u, s, k, ell in _offset_survivors(3, j_offset, u_range, k_range, s_min)
+        if small(s, ell, u)
+    ]
 
 
 def lp50_congruence_solvable_ks(j: int) -> list[int]:

@@ -263,7 +263,11 @@ def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationRepo
     observations without being asserted either way, except at the
     constructed counterexamples: greedy provably loses at every
     ``_constructed_losses(q_max)`` fraction, so one that is not a loss row
-    raises InvariantViolation once the rows run out.
+    raises InvariantViolation once the rows run out. Every tie and loss
+    pair (x1, x2), at any upsilon, must lie in the interval proved for
+    competitors of the greedy pair (a1, a2):
+    a1+1 <= x1 <= 2a1-1 <= x2 < a1*x1/(x1-a1) and x2 <= a2-1; one outside
+    raises InvariantViolation at once.
     """
     failures: list[tuple] = []
     observations: list[dict] = []
@@ -271,6 +275,15 @@ def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationRepo
     unmet = _constructed_losses(q_max)
     for p, q, ups, greedy_is_best, unique, ties, losses in rows:
         points += 1
+        if ties or losses:
+            a1 = q // p + 1
+            a2 = q * a1 // (p * a1 - q) + 1
+            for x1, x2 in ties or losses:
+                if not (a1 + 1 <= x1 <= 2 * a1 - 1 <= x2 <= a2 - 1 and x2 * (x1 - a1) < a1 * x1):
+                    raise InvariantViolation(
+                        f"optimal pair ({x1}, {x2}) of {p}/{q} is outside the interval "
+                        f"of the greedy pair ({a1}, {a2})"
+                    )
         if ups <= 3:
             if (p, q) == TIE_POINT:
                 if greedy_is_best and ties == tuple(TIE_SET[1:]):

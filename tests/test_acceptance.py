@@ -148,23 +148,24 @@ def test_criterion_7_delta_ell_contract():
 
 def test_criterion_8_closed_forms_match_greedy():
     with criterion(8, "closed forms match the expansion for q <= 300, 4 terms"):
-        family_counts = [0, 0, 0]
+        family_counts = dict.fromkeys(
+            (greedy.FAMILY_P_DIVIDES_Q_PLUS_1, greedy.FAMILY_UPSILON_DIVIDES_Q,
+             greedy.FAMILY_UPSILON2_ODD_Q), 0
+        )
         for p, q in reduced_fractions(300):
             ups = greedy.upsilon(p, q)
-            expansion = None
-            if q % ups == 0:
-                expansion = greedy.expand(Fraction(p, q), 4).terms
-                assert greedy.closed_form_upsilon_divides_q(p, q, 4) == expansion
-                family_counts[0] += 1
-            if q % 2 == 1 and ups == 2:
-                expansion = expansion or greedy.expand(Fraction(p, q), 4).terms
-                assert greedy.closed_form_upsilon2_odd_q(p, q, 4) == expansion
-                family_counts[1] += 1
             if (q + 1) % p == 0:
-                expansion = expansion or greedy.expand(Fraction(p, q), 4).terms
-                assert greedy.closed_form_p_divides_q_plus_1(p, q, 4) == expansion
-                family_counts[2] += 1
-        assert all(count > 100 for count in family_counts), family_counts
+                family = greedy.FAMILY_P_DIVIDES_Q_PLUS_1
+            elif q % ups == 0:
+                family = greedy.FAMILY_UPSILON_DIVIDES_Q
+            elif q % 2 == 1 and ups == 2:
+                family = greedy.FAMILY_UPSILON2_ODD_Q
+            else:
+                continue
+            assert greedy.upsilon_profile(p, q).family == family, (p, q)
+            assert greedy.closed_form(p, q, 4) == greedy.expand(Fraction(p, q), 4).terms
+            family_counts[family] += 1
+        assert all(count > 100 for count in family_counts.values()), family_counts
 
 
 def test_criterion_9_best_m_term_families():

@@ -10,7 +10,9 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import closing
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -584,6 +586,22 @@ def test_unbeaten_counterexample_exits_6_in_every_format(capsys, monkeypatch):
         assert err.startswith("invariant violation") and "(5, 16)" in err
 
 
+def test_competitor_outside_its_interval_exits_6_in_every_format(capsys, monkeypatch):
+    rows_for_q = underapprox._threshold_rows_for_q
+
+    def broken(q):  # 5/11 loses to (4, 5); its greedy pair is (3, 9), so x2 <= 8
+        rows = rows_for_q(q)
+        if q == 11:
+            rows = [r[:6] + (((4, 9),),) if r[0] == 5 else r for r in rows]
+        return rows
+
+    monkeypatch.setattr(underapprox, "_threshold_rows_for_q", broken)
+    for fmt in ("json", "csv", "plain"):
+        code, _, err = run_cli(capsys, "--format", fmt, "verify", "threshold", "--q-max", "20")
+        assert code == cli.EXIT_INVARIANT, fmt
+        assert err.startswith("invariant violation") and "(4, 9) of 5/11" in err
+
+
 # the benchmark's threshold argvs: json at q_max 400 (--jobs 1) and csv at
 # q_max 700, recorded at --jobs 2 and run here at --jobs 1
 @pytest.mark.parametrize("fmt, q_max, jobs", [("json", 400, 1), ("csv", 700, 2)])
@@ -621,6 +639,23 @@ def test_worker_count_clamps_to_cpu_count(monkeypatch):
     assert _pool.worker_count(8) == 1
 
 
+def test_pool_pulls_items_only_a_window_ahead():
+    pulled = 0
+
+    def counted():
+        nonlocal pulled
+        for i in range(10**5):
+            pulled += 1
+            yield -i
+
+    results = _pool.ordered_map(abs, counted(), jobs=2, chunksize=16)
+    with closing(results):
+        assert next(results) == 0
+        assert pulled <= (_pool._CHUNKS_PER_JOB * 2 + 1) * 16
+        assert list(islice(results, 999)) == list(range(1, 1000))
+    assert list(_pool.ordered_map(abs, range(0, -50, -1), jobs=2, chunksize=3)) == list(range(50))
+
+
 def test_invariant_violation_exit_code(capsys, monkeypatch):
     # b_m = n * a_m always makes condition (ii) hold; at 1/7, m = 1, n = 2
     # condition (i) fails, so the provably equivalent conditions disagree
@@ -636,18 +671,19 @@ def test_invariant_violation_exit_code(capsys, monkeypatch):
 def test_closed_stdout_exits_quietly():
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.Popen(
+    # leaving the with block closes both pipes and reaps the process
+    with subprocess.Popen(
         [sys.executable, "-m", "egfrac.cli", "--format", "csv",
          "verify", "threshold", "--q-max", "300"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline() == b"p,q,upsilon,greedy_is_best,unique,ties,losses\n"
-    proc.stdout.close()  # like `| head -1`
-    try:
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    finally:
-        proc.kill()
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == b"p,q,upsilon,greedy_is_best,unique,ties,losses\n"
+            proc.stdout.close()  # like `| head -1`
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
     assert code == cli.EXIT_BROKEN_PIPE
     assert err == b""
 

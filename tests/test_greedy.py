@@ -7,7 +7,7 @@ from math import factorial, gcd
 import pytest
 
 from egfrac import greedy
-from egfrac.errors import DigitGuardExceeded, DomainError
+from egfrac.errors import DigitGuardExceeded, DomainError, InvariantViolation
 from oracles import brute_force_superior_denominator, reduced_fractions
 
 SYLVESTER_8 = [2, 3, 7, 43, 1807, 3263443, 10650056950807, 113423713055421844361000443]
@@ -241,22 +241,28 @@ def test_upsilon_profile_invariants():
         assert prof.delta <= prof.ell
 
 
-def test_closed_form_upsilon_divides_q():
-    assert greedy.closed_form_upsilon_divides_q(3, 10, 3) == [4, 21, 421]
-    assert greedy.closed_form_upsilon_divides_q(5, 9, 2) == [2, 19]
+def test_closed_form_per_family():
+    # upsilon | q
+    assert greedy.closed_form(3, 10, 3) == [4, 21, 421]
+    assert greedy.closed_form(5, 9, 2) == [2, 19]
+    # upsilon = 2, q odd
+    assert greedy.closed_form(5, 13, 3) == [3, 20, 781]
+    assert greedy.closed_form(3, 7, 3) == [3, 11, 232]
+    assert greedy.closed_form(3, 7, 1) == [3]
+    # p | q + 1, with p = 1 on the quadratic recurrence
+    assert greedy.closed_form(2, 5, 3) == [3, 16, 241]
+    assert greedy.closed_form(1, 1, 4) == [2, 3, 7, 43]
+    assert greedy.closed_form(1, 6, 3) == [7, 43, 1807]
     for q in (3, 7, 20):
-        assert greedy.closed_form_upsilon_divides_q(1, q, 2) == [q + 1, q * (q + 1) + 1]
+        assert greedy.closed_form(1, q, 2) == [q + 1, q * (q + 1) + 1]
+    # non-reduced input is reduced first
+    assert greedy.closed_form(6, 20, 3) == [4, 21, 421]
     with pytest.raises(DomainError):
-        greedy.closed_form_upsilon_divides_q(5, 7, 2)  # upsilon = 3 does not divide 7
-
-
-def test_closed_form_upsilon2_odd_q():
-    assert greedy.closed_form_upsilon2_odd_q(5, 13, 3) == [3, 20, 781]
-    assert greedy.closed_form_upsilon2_odd_q(3, 7, 3) == [3, 11, 232]
+        greedy.closed_form(5, 7, 2)  # General: upsilon = 3 does not divide 7
     with pytest.raises(DomainError):
-        greedy.closed_form_upsilon2_odd_q(3, 10, 2)  # even q
+        greedy.closed_form(3, 10, 0)
     with pytest.raises(DomainError):
-        greedy.closed_form_upsilon2_odd_q(1, 7, 2)  # upsilon = 1
+        greedy.closed_form(7, 5, 2)
 
 
 def test_closed_form_upsilon2_second_term_parity():
@@ -264,28 +270,19 @@ def test_closed_form_upsilon2_second_term_parity():
     for p, q in reduced_fractions(80):
         if q % 2 == 0 or q < 3 or greedy.upsilon(p, q) != 2:
             continue
-        a1, a2 = greedy.closed_form_upsilon2_odd_q(p, q, 2)
+        a1, a2 = greedy.closed_form(p, q, 2)
         assert (q * a1) % 2 == 1
         assert a2 - 1 == (q * a1) // 2
 
 
-def test_closed_form_p_divides_q_plus_1():
-    assert greedy.closed_form_p_divides_q_plus_1(2, 5, 3) == [3, 16, 241]
-    assert greedy.closed_form_p_divides_q_plus_1(1, 1, 4) == [2, 3, 7, 43]
-    assert greedy.closed_form_p_divides_q_plus_1(1, 6, 3) == [7, 43, 1807]
-    with pytest.raises(DomainError):
-        greedy.closed_form_p_divides_q_plus_1(3, 7, 2)
-
-
-def test_closed_forms_match_expansion_small_sweep():
-    for p, q in reduced_fractions(60):
-        ups = greedy.upsilon(p, q)
-        if q % ups == 0:
-            greedy.closed_form_upsilon_divides_q(p, q, 4)  # self-checks against expand
-        if q % 2 == 1 and ups == 2:
-            greedy.closed_form_upsilon2_odd_q(p, q, 4)
-        if (q + 1) % p == 0:
-            greedy.closed_form_p_divides_q_plus_1(p, q, 4)
+def test_closed_form_checks_the_expansion(monkeypatch):
+    # a closed form that disagrees with greedy is a bug, never an answer
+    real = greedy.expand
+    monkeypatch.setattr(
+        greedy, "expand", lambda theta, m: real(theta, m)._replace(terms=[2] * m)
+    )
+    with pytest.raises(InvariantViolation):
+        greedy.closed_form(3, 10, 3)
 
 
 def test_eventual_quadratic_recurrence():
