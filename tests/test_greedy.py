@@ -241,18 +241,10 @@ def test_upsilon_profile_invariants():
         assert prof.delta <= prof.ell
 
 
-def test_closed_form_per_family():
-    # upsilon | q
+def test_closed_form_upsilon_divides_q():
+    assert greedy.upsilon_profile(3, 10).family == greedy.FAMILY_UPSILON_DIVIDES_Q
     assert greedy.closed_form(3, 10, 3) == [4, 21, 421]
     assert greedy.closed_form(5, 9, 2) == [2, 19]
-    # upsilon = 2, q odd
-    assert greedy.closed_form(5, 13, 3) == [3, 20, 781]
-    assert greedy.closed_form(3, 7, 3) == [3, 11, 232]
-    assert greedy.closed_form(3, 7, 1) == [3]
-    # p | q + 1, with p = 1 on the quadratic recurrence
-    assert greedy.closed_form(2, 5, 3) == [3, 16, 241]
-    assert greedy.closed_form(1, 1, 4) == [2, 3, 7, 43]
-    assert greedy.closed_form(1, 6, 3) == [7, 43, 1807]
     for q in (3, 7, 20):
         assert greedy.closed_form(1, q, 2) == [q + 1, q * (q + 1) + 1]
     # non-reduced input is reduced first
@@ -265,6 +257,16 @@ def test_closed_form_per_family():
         greedy.closed_form(7, 5, 2)
 
 
+def test_closed_form_upsilon2_odd_q():
+    assert greedy.upsilon_profile(5, 13).family == greedy.FAMILY_UPSILON2_ODD_Q
+    assert greedy.closed_form(5, 13, 3) == [3, 20, 781]
+    assert greedy.closed_form(3, 7, 3) == [3, 11, 232]
+    assert greedy.closed_form(3, 7, 1) == [3]
+    # even q and upsilon = 1 fall in other families, not this one
+    assert greedy.upsilon_profile(3, 10).family != greedy.FAMILY_UPSILON2_ODD_Q
+    assert greedy.upsilon_profile(1, 7).family != greedy.FAMILY_UPSILON2_ODD_Q
+
+
 def test_closed_form_upsilon2_second_term_parity():
     # a_2 - 1 = floor(q*a_1/2) with q*a_1 odd on the whole family
     for p, q in reduced_fractions(80):
@@ -273,6 +275,21 @@ def test_closed_form_upsilon2_second_term_parity():
         a1, a2 = greedy.closed_form(p, q, 2)
         assert (q * a1) % 2 == 1
         assert a2 - 1 == (q * a1) // 2
+
+
+def test_closed_form_p_divides_q_plus_1():
+    assert greedy.upsilon_profile(2, 5).family == greedy.FAMILY_P_DIVIDES_Q_PLUS_1
+    assert greedy.closed_form(2, 5, 3) == [3, 16, 241]
+    # p = 1 follows the quadratic recurrence
+    assert greedy.closed_form(1, 1, 4) == [2, 3, 7, 43]
+    assert greedy.closed_form(1, 6, 3) == [7, 43, 1807]
+    assert greedy.upsilon_profile(3, 7).family != greedy.FAMILY_P_DIVIDES_Q_PLUS_1
+
+
+def test_closed_forms_match_expansion_small_sweep():
+    for p, q in reduced_fractions(60):
+        if greedy.upsilon_profile(p, q).family != greedy.FAMILY_GENERAL:
+            greedy.closed_form(p, q, 4)  # self-checks against expand
 
 
 def test_closed_form_checks_the_expansion(monkeypatch):
