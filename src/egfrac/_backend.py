@@ -3,9 +3,9 @@
 ``two_term_scan`` is the one solver of the last two levels of a best
 underapproximation search: one call per row of the threshold sweep, and
 one per node at level m - 1 of ``underapprox.best_m_term``. The lemmas
-lp1, lp11 and lp50 are one floor inequality with offset c (2 for lp1, 3
-for the others), written once in ``_offset_point``; one lemma point is
-one ``lp*_point`` call. Everything here is integer-only (floors
+lp1, lp11, lp12 and lp50 are one floor inequality with offset c (2 for
+lp1, 3 for the others), written once in ``_offset_point``; one lemma
+point is one ``lp*_point`` call. Everything here is integer-only (floors
 via integer division, comparisons via cross-multiplication), so a sweep
 over millions of points never allocates a Fraction, and every function
 is exact for arbitrarily large inputs.
@@ -122,19 +122,22 @@ def _offset_point(c: int):
     return point
 
 
+def _offset3_tie(q: int, u: int, s: int, v: int) -> bool:
+    """True when the two sides of the offset-3 inequality agree exactly.
+
+    Private, so it is not counted as a kernel: it runs only at the points
+    where ``lp11_point``, ``lp12_point`` or ``lp50_point`` fails.
+    """
+    b = u * (u + s)
+    t = q * u + v
+    lhs = q * b // (s * (q + 3) + 3 * u)
+    return (lhs + 1) * (s * t + 3 * b) == t * b
+
+
 # One function object per lemma, so a caller can count each lemma's calls.
 lp1_point = _offset_point(2)
 lp11_point = _offset_point(3)
+# lp11 at q = 61, u = 8, v = 1 with s unbounded, where it reads
+# floor(61(8+s)/(8s+3)) > 3912(8+s)/(513s+192) - 1
+lp12_point = _offset_point(3)
 lp50_point = _offset_point(3)  # lp11 at s = 1, v = 3
-
-
-def lp12_point(s: int) -> bool:
-    """Point check of floor(61(8+s)/(8s+3)) > 3912(8+s)/(513s+192) - 1."""
-    lhs = (61 * (8 + s)) // (8 * s + 3)
-    return (lhs + 1) * (513 * s + 192) > 3912 * (8 + s)
-
-
-def lp12_point_is_equality(s: int) -> bool:
-    """True when the two sides of the lp12 inequality agree exactly."""
-    lhs = (61 * (8 + s)) // (8 * s + 3)
-    return (lhs + 1) * (513 * s + 192) == 3912 * (8 + s)

@@ -10,6 +10,11 @@ Exit codes (stable API): 0 ok, 2 domain error, 3 digit guard exceeded,
 4 search inconclusive, 5 verification failure, 6 invariant violation (a
 proved identity failed: a bug, reported in one stderr line), 141 stdout
 closed by its reader before the output was written (nothing on stderr).
+
+The tables, ``verify threshold`` and ``phi-samples`` in csv or json, are
+written through one generator, ``_written``, in batches of fixed layouts
+byte for byte equal to what ``csv.writer`` and ``json.dump(indent=2)``
+write. The json threshold report spools its rows, since its keys come first.
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import closing
+from contextlib import ExitStack, closing
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 from . import counterexamples, greedy, lemmas, underapprox
@@ -42,7 +46,7 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `cmd | head`
 
 DEFAULT_DIGIT_GUARD = 10_000
 
-_ROWS_PER_WRITE = 2048  # threshold and phi-samples rows encoded per stdout write
+_ROWS_PER_WRITE = 2048  # table rows encoded per write by _written
 
 
 def _reduced(p: int, q: int) -> tuple[int, int]:
@@ -61,14 +65,6 @@ def _emit_json(payload) -> None:
 def _emit_plain(lines) -> None:
     for line in lines:
         print(line)
-
-
-def _emit_csv(header, rows) -> None:
-    import csv  # only phi-samples writes through csv.writer
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
 
 
 def cmd_expand(args) -> int:
@@ -160,32 +156,32 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _phi_rows(lo: int, denom: int):
-    """(theta num, theta den, phi num, phi den) as strings, for num/denom from lo."""
-    for num in range(lo, denom + 1):
-        theta = Fraction(num, denom)
-        value = greedy.phi(theta)
-        yield (
-            str(theta.numerator),
-            str(theta.denominator),
-            str(value.numerator),
-            str(value.denominator),
-        )
+def _written(rows, encode, write, sep=""):
+    """Yield each row unchanged, writing ``encode(batch)`` per batch of rows.
 
-
-def _emit_json_list(items) -> None:
-    """Write ``json.dumps(list(items), indent=2)`` plus a newline, in batches.
-
-    Each batch of ``_ROWS_PER_WRITE`` items is one ``json.dumps`` call with
-    its brackets cut off, so memory stays flat however many items come.
+    A batch is ``_ROWS_PER_WRITE`` rows, or the rows left at the end, and
+    ``sep`` goes between batches. ``encode`` gets the whole batch, so the
+    per-row work stays inside its list comprehension.
     """
-    items = iter(items)
-    write = sys.stdout.write
-    sep = "["
-    for batch in iter(lambda: list(islice(items, _ROWS_PER_WRITE)), []):
-        write(sep + json.dumps(batch, indent=2)[1:-2])  # "[" ... "\n]"
-        sep = ","
-    write("[]\n" if sep == "[" else "\n]\n")
+    batch = []
+    lead = ""
+    for row in rows:
+        batch.append(row)
+        if len(batch) == _ROWS_PER_WRITE:
+            write(lead + encode(batch))
+            lead = sep
+            batch = []
+        yield row
+    if batch:
+        write(lead + encode(batch))
+
+
+# One phi-samples row as json.dumps(indent=2) lays out its item of the
+# list: every value is a string of decimal digits, so nothing is escaped.
+_PHI_JSON = (
+    '\n  {\n    "theta": {\n      "num": "%d",\n      "den": "%d"\n    },'
+    '\n    "phi": {\n      "num": "%d",\n      "den": "%d"\n    }\n  }'
+)
 
 
 def cmd_phi_samples(args) -> int:
@@ -195,14 +191,18 @@ def cmd_phi_samples(args) -> int:
     lo = args.min_num if args.min_num is not None else (denom + 9) // 10
     if not 1 <= lo <= denom:
         raise DomainError("--min-num must be between 1 and --denom")
-    rows = _phi_rows(lo, denom)
+    thetas = (Fraction(num, denom) for num in range(lo, denom + 1))  # never empty: lo <= denom
+    rows = ((*t.as_integer_ratio(), *greedy.phi(t).as_integer_ratio()) for t in thetas)
+    write = sys.stdout.write
     if args.format == "json":
-        _emit_json_list(
-            {"theta": {"num": r[0], "den": r[1]}, "phi": {"num": r[2], "den": r[3]}}
-            for r in rows
-        )
+        write("[")
+        for _ in _written(rows, lambda rs: ",".join([_PHI_JSON % r for r in rs]), write, ","):
+            pass
+        write("\n]\n")
     else:
-        _emit_csv(["theta_num", "theta_den", "phi_num", "phi_den"], rows)
+        write("theta_num,theta_den,phi_num,phi_den\n")
+        for _ in _written(rows, lambda rs: "".join(["%d,%d,%d,%d\n" % r for r in rs]), write):
+            pass
     return EXIT_OK
 
 
@@ -215,30 +215,17 @@ def _pairs_csv(pairs) -> str:
     return ";".join([f"{x}:{y}" for x, y in pairs])
 
 
-def _written_as_csv(rows, write):
-    """Yield each row unchanged, writing its csv line as it goes by.
-
-    A row where greedy is the unique best, most rows, has no ties and no
-    losses, so its line is its first three fields and a fixed tail; any
-    other row also writes its flags and pair lists. Lines are written 2048
-    at a time; the last, partial batch is written when the rows run out.
-    """
-    lines = []
-    for row in rows:
-        p, q, ups, greedy_is_best, unique, ties, losses = row
-        if greedy_is_best and unique:
-            lines.append(f"{p},{q},{ups},True,True,,\n")
-        else:
-            lines.append(
-                f"{p},{q},{ups},{greedy_is_best},{unique},"
-                f"{_pairs_csv(ties)},{_pairs_csv(losses)}\n"
-            )
-        if len(lines) == _ROWS_PER_WRITE:
-            write("".join(lines))
-            lines.clear()
-        yield row
-    if lines:
-        write("".join(lines))
+# A row where greedy is the unique best, most rows, has no ties and no
+# losses, so its line is its first three fields and a fixed tail.
+def _rows_csv(batch) -> str:
+    return "".join(
+        [
+            f"{p},{q},{u},True,True,,\n"
+            if g and un
+            else f"{p},{q},{u},{g},{un},{_pairs_csv(ti)},{_pairs_csv(lo)}\n"
+            for p, q, u, g, un, ti, lo in batch
+        ]
+    )
 
 
 # The encoders below write what json.dump(..., indent=2) writes for the
@@ -265,6 +252,21 @@ def _row_json(p, q, ups, greedy_is_best, unique, ties, losses) -> str:
     )
 
 
+def _rows_json(batch) -> str:
+    """Threshold rows as items of the report's "rows" list; the unique-best
+    rows, most rows, fill one f-string with their first three fields."""
+    return ",".join(
+        [
+            f'\n    {{\n      "p": {p},\n      "q": {q},\n      "upsilon": {u},'
+            '\n      "greedy_is_best": true,\n      "unique": true,'
+            '\n      "ties": [],\n      "losses": []\n    }'
+            if g and un
+            else _row_json(p, q, u, g, un, ti, lo)
+            for p, q, u, g, un, ti, lo in batch
+        ]
+    )
+
+
 def _observation_json(obs) -> str:
     """One observation of ``verify_threshold_rows``, a loss or the tie, in its key order."""
     if obs["kind"] == "loss":
@@ -279,15 +281,13 @@ def _observation_json(obs) -> str:
     )
 
 
-def _emit_threshold_json(report, rows) -> None:
+def _emit_threshold_json(report, spool) -> None:
     """Write ``json.dump({**report, "rows": rows}, indent=2)`` plus a newline.
 
-    Each row tuple is written as the object keyed by its field names. Only
-    the report's five leading keys, which are small, go through
-    ``json.dumps``. Its observations, one per loss row, and the rows, most
-    of the output, go through the fixed layouts above, the rows in large
-    writes. A row where greedy is the unique best is one f-string filled
-    with its first three fields, with no ``_row_json`` call.
+    ``spool`` holds the rows as ``_rows_json`` lays them out, in ASCII.
+    Only the report's five leading keys, which are small, go through
+    ``json.dumps``; its observations, one per loss row, go through the
+    fixed layouts above.
     """
     write = sys.stdout.write
     payload = report.to_json_dict()
@@ -300,19 +300,10 @@ def _emit_threshold_json(report, rows) -> None:
     else:
         head += ',\n  "observations": []'
     write(f'{head},\n  "passed": {_JSON_BOOL[passed]},\n  "rows": [')
-    for start in range(0, len(rows), _ROWS_PER_WRITE):
-        chunk = ",".join(
-            [
-                f'\n    {{\n      "p": {p},\n      "q": {q},\n      "upsilon": {u},'
-                '\n      "greedy_is_best": true,\n      "unique": true,'
-                '\n      "ties": [],\n      "losses": []\n    }'
-                if g and un
-                else _row_json(p, q, u, g, un, ti, lo)
-                for p, q, u, g, un, ti, lo in rows[start : start + _ROWS_PER_WRITE]
-            ]
-        )
-        write(chunk if start == 0 else "," + chunk)
-    write("\n  ]\n}\n" if rows else "]\n}\n")
+    spool.seek(0)
+    for chunk in iter(lambda: spool.read(1 << 20), b""):
+        write(chunk.decode("ascii"))
+    write("\n  ]\n}\n")
 
 
 def cmd_verify(args) -> int:
@@ -329,21 +320,23 @@ def cmd_verify(args) -> int:
         reports.append(lemmas.verify_lp50(args.q_max, jobs=jobs))
     elif suite == "threshold":
         rows = underapprox.threshold_sweep(args.q_max, jobs=jobs)
-        # Closed on any exit: an exception raised while a row is checked or
-        # written (Ctrl-C, say) would otherwise keep the pool running until
-        # the interpreter exits.
-        with closing(rows):
+        # The rows are encoded as they pass into the check; json's wait in a
+        # spool, since the report's keys are written before its rows. Both
+        # are closed on any exit: an exception raised while a row is checked
+        # or written (Ctrl-C, say) would otherwise keep the pool running
+        # until the interpreter exits.
+        with closing(rows), ExitStack() as stack:
             if args.format == "csv":
                 sys.stdout.write(_THRESHOLD_CSV_HEADER)
-                report = underapprox.verify_threshold_rows(
-                    _written_as_csv(rows, sys.stdout.write), args.q_max
-                )
-                return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-            if args.format == "json":
-                rows = list(rows)  # the report's keys are written before its rows
+                rows = _written(rows, _rows_csv, sys.stdout.write)
+            elif args.format == "json":
+                import tempfile  # about 6 ms of imports, paid by json threshold runs only
+                spool = stack.enter_context(tempfile.TemporaryFile())
+                rows = _written(rows, _rows_json, lambda s: spool.write(s.encode("ascii")), ",")
             report = underapprox.verify_threshold_rows(rows, args.q_max)
             if args.format == "json":
-                _emit_threshold_json(report, rows)
+                _emit_threshold_json(report, spool)
+            if args.format != "plain":
                 return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
             reports.append(report)
     elif suite == "claims":

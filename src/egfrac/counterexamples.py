@@ -132,14 +132,22 @@ def beating_pair(k: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def _bracket_s(residue: int, j: int) -> int:
     """Unique s >= s_min whose bracket for k = residue mod 4 holds j.
 
-    The brackets tile the j-axis; uniqueness is asserted, not assumed.
+    first(s) increases with s, so s is the last s with first(s) <= j, found
+    by doubling a step from s_min and then halving it: O(log j) brackets
+    are looked at, not O(sqrt j). The brackets tile the j-axis; that j
+    lies in bracket s, and in no neighbour, is asserted, not assumed.
     """
     s_min, first, last, _ = _BRACKETS[residue]
-    s = s_min
-    while not (first(s) <= j <= last(s)):
-        s += 1
-        if first(s) > j:
-            raise InvariantViolation(f"bracket rule skipped j = {j}")
+    s, step = s_min, 1
+    while first(s + step) <= j:
+        s += step
+        step *= 2
+    while step > 1:  # first(s) <= j < first(s + step), or j is below bracket s_min
+        step //= 2
+        if first(s + step) <= j:
+            s += step
+    if not first(s) <= j <= last(s):
+        raise InvariantViolation(f"bracket rule skipped j = {j}")
     if (s > s_min and j <= last(s - 1)) or first(s + 1) <= j:
         raise InvariantViolation(f"bracket rule ambiguous at j = {j}")
     return s

@@ -10,11 +10,12 @@ verification path touches approximate arithmetic.
 Exceptional points are first-class data: the offset-3 sweeps are expected
 to fail exactly at (q, u) = (17, 2) and (61, 8), and the reports record
 the observed verdicts there (which (s, v) fail, and whether the failure
-is an exact tie) so that a regression that accidentally "fixes" them is
-caught. The isolated single-variable inequality handled by
-``verify_lp12`` holds for every s >= 1 except s = 155, where both sides
-equal 7 exactly; the s >= 156 tail is covered by the threshold argument
-checked symbolically (both bounding linear forms have positive slope, so
+is an exact tie, decided by ``_backend._offset3_tie``) so that a
+regression that accidentally "fixes" them is caught. ``verify_lp12``
+checks the offset-3 inequality at (q, u, v) = (61, 8, 1) for every
+s >= 1: it holds except at s = 155, where both sides equal 7 exactly;
+the s >= 156 tail is covered by the threshold argument checked
+symbolically (both bounding linear forms have positive slope, so
 endpoint checks at s = 156 cover the tail).
 
 The brute-force sub-facts quoted inside the lemma proofs (which small
@@ -147,7 +148,7 @@ def verify_lp11(q_max: int, jobs: int = 1) -> VerificationReport:
             "s": s,
             "v": v,
             "holds": False,
-            "equality": _point_is_tie_lp11(q, u, s, v),
+            "equality": _backend._offset3_tie(q, u, s, v),
         }
         for (q, u, s, v) in failing_points
     ]
@@ -161,17 +162,6 @@ def verify_lp11(q_max: int, jobs: int = 1) -> VerificationReport:
     )
 
 
-def _point_is_tie_lp11(q: int, u: int, s: int, v: int) -> bool:
-    """True when the two sides of the offset-3 inequality agree exactly.
-
-    lp50 is the case s = 1, v = 3, so its ties are decided here too.
-    """
-    b = u * (u + s)
-    t = q * u + v
-    lhs = q * b // (s * (q + 3) + 3 * u)
-    return (lhs + 1) * (s * t + 3 * b) == t * b
-
-
 def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
     """Sweep the offset-3 inequality at s = 1, v = 3 over all (q, u).
 
@@ -181,7 +171,7 @@ def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
     points, failing_points = _sweep("lp50", q_max, jobs)
     failures = [(q, u) for (q, u, _, _) in failing_points]
     observations = [
-        {"q": q, "u": u, "holds": False, "equality": _point_is_tie_lp11(q, u, 1, 3)}
+        {"q": q, "u": u, "holds": False, "equality": _backend._offset3_tie(q, u, 1, 3)}
         for (q, u) in failures
     ]
     return VerificationReport(
@@ -195,7 +185,8 @@ def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
 
 
 def verify_lp12() -> VerificationReport:
-    """Verify the isolated inequality for every s >= 1 except s = 155.
+    """Verify floor(61(8+s)/(8s+3)) > 3912(8+s)/(513s+192) - 1 for every
+    s >= 1 except s = 155: ``lp12_point`` at (q, u, v) = (61, 8, 1).
 
     Points 1 <= s <= 154 are checked exactly. At s = 155 both sides equal
     7 and the strict inequality fails; the verdict is recorded as an
@@ -209,14 +200,14 @@ def verify_lp12() -> VerificationReport:
     points = 0
     for s in range(1, 155):
         points += 1
-        if not _backend.lp12_point(s):
+        if not _backend.lp12_point(61, 8, s, 1):
             failures.append((s,))
 
     observations = [
         {
             "s": 155,
-            "holds": _backend.lp12_point(155),
-            "equality": _backend.lp12_point_is_equality(155),
+            "holds": _backend.lp12_point(61, 8, 155, 1),
+            "equality": _backend._offset3_tie(61, 8, 155, 1),
             "floor_value": (61 * (8 + 155)) // (8 * 155 + 3),
         }
     ]

@@ -206,6 +206,17 @@ def lp50_point(q: int, u: int) -> bool:
     return (lhs + 1) * den > num
 
 
+def lp12_point(s: int) -> bool:
+    """floor(61(8+s)/(8s+3)) > 3912(8+s)/(513s+192) - 1."""
+    lhs = (61 * (8 + s)) // (8 * s + 3)
+    return (lhs + 1) * (513 * s + 192) > 3912 * (8 + s)
+
+
+def lp12_is_tie(s: int) -> bool:
+    lhs = (61 * (8 + s)) // (8 * s + 3)
+    return (lhs + 1) * (513 * s + 192) == 3912 * (8 + s)
+
+
 def lemma_box(q_max: int, offset: int, min_quotient: int):
     """(q, u) of a lemma sweep: u >= 2 divides q + offset with quotient >= min_quotient."""
     for q in range(1, q_max + 1):

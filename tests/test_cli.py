@@ -332,21 +332,14 @@ def test_phi_samples_streamed_equals_the_list_form(capsys, fmt, denom):
     assert out == _phi_samples_as_lists(fmt, denom)
 
 
-def test_json_list_of_no_items_is_json_dumps(capsys):
-    cli._emit_json_list(iter([]))
-    assert capsys.readouterr().out == json.dumps([], indent=2) + "\n"
-
-
-# With every row held in a list before it is encoded, both runs end in
-# MemoryError under this data limit; streamed, both peak near 20 MB of RSS.
-@pytest.mark.parametrize("fmt, denom", [("json", 60_000), ("csv", 150_000)])
-def test_phi_samples_runs_in_bounded_memory(tmp_path, fmt, denom):
+def _tail_under_data_limit(tmp_path, argv):
+    """The last 40 bytes ``main(argv)`` writes in a child limited to 48 MB of data."""
     limit = 48 << 20
     script = (
         "import resource, sys\n"
         f"resource.setrlimit(resource.RLIMIT_DATA, ({limit}, {limit}))\n"
         "from egfrac.cli import main\n"
-        f"sys.exit(main(['--format', {fmt!r}, 'phi-samples', '--denom', '{denom}']))\n"
+        f"sys.exit(main({argv!r}))\n"
     )
     out_path = tmp_path / "out"
     with open(out_path, "wb") as out:
@@ -355,8 +348,22 @@ def test_phi_samples_runs_in_bounded_memory(tmp_path, fmt, denom):
     assert proc.returncode == 0, proc.stderr[-2000:]
     with open(out_path, "rb") as out:
         out.seek(-40, os.SEEK_END)
-        tail = out.read()
+        return out.read()
+
+
+# With every row held in a list before it is encoded, both runs end in
+# MemoryError under this data limit; streamed, both peak near 20 MB of RSS.
+@pytest.mark.parametrize("fmt, denom", [("json", 60_000), ("csv", 150_000)])
+def test_phi_samples_runs_in_bounded_memory(tmp_path, fmt, denom):
+    tail = _tail_under_data_limit(tmp_path, ["--format", fmt, "phi-samples", "--denom", str(denom)])
     assert tail.endswith(b'"1"\n    }\n  }\n]\n' if fmt == "json" else b"\n1,1,1,1\n")
+
+
+# With its rows held in a list until the report's keys are written, this
+# run ends in MemoryError; spooled, it stays near 30 MB of RSS.
+def test_threshold_json_runs_in_bounded_memory(tmp_path):
+    tail = _tail_under_data_limit(tmp_path, ["verify", "threshold", "--q-max", "1000"])
+    assert tail.endswith(b'"losses": []\n    }\n  ]\n}\n')
 
 
 def test_plain_format(capsys):
@@ -526,7 +533,7 @@ def test_row_encoders_match_json_dumps_and_csv_writer(row):
         "losses": [list(t) for t in losses],
     }
     # the template is laid out as an item of the report's "rows" list
-    in_list = '{\n  "rows": [' + cli._row_json(*row) + "\n  ]\n}"
+    in_list = '{\n  "rows": [' + cli._rows_json([row]) + "\n  ]\n}"
     assert in_list == json.dumps({"rows": [obj]}, indent=2)
 
     expected = io.StringIO()
@@ -541,9 +548,7 @@ def test_row_encoders_match_json_dumps_and_csv_writer(row):
             ";".join(f"{a}:{b}" for a, b in losses),
         ]
     )
-    written = []
-    assert list(cli._written_as_csv([row], written.append)) == [row]
-    assert written == [expected.getvalue()]
+    assert cli._rows_csv([row]) == expected.getvalue()
 
 
 def test_threshold_failure_exits_5_in_every_format(capsys, monkeypatch):
@@ -700,7 +705,11 @@ def _cli_env():
 
 
 def _modules_loaded_by(code: str) -> set:
-    """Modules that ``code`` adds to a fresh interpreter's ``sys.modules``."""
+    """Modules that ``code`` adds to a fresh interpreter's ``sys.modules``.
+
+    The interpreter runs with -S: a site-packages .pth hook can import
+    modules such as ``tempfile`` before ``code`` runs, hiding its imports.
+    """
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -709,7 +718,8 @@ def _modules_loaded_by(code: str) -> set:
         "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=_cli_env(), capture_output=True, text=True, timeout=120
+        [sys.executable, "-S", "-c", script], env=_cli_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
@@ -719,13 +729,15 @@ def test_start_up_imports_stay_light():
     loaded = _modules_loaded_by("import egfrac.cli")
     assert "egfrac.cli" in loaded
     assert loaded.isdisjoint(HEAVY_MODULES), sorted(loaded & set(HEAVY_MODULES))
+    # json threshold runs alone spool their rows to a temporary file
+    assert "tempfile" not in loaded
     # the process pool is imported by --jobs > 1 only
     argv = ["--format", "csv", "verify", "threshold", "--q-max", "30"]
     loaded = _modules_loaded_by(
         f"from egfrac.cli import main\nassert main({argv!r}) == 0"
     )
     assert "egfrac.underapprox" in loaded
-    assert loaded.isdisjoint({"concurrent.futures", "logging"}), loaded
+    assert loaded.isdisjoint({"concurrent.futures", "logging", "tempfile"}), loaded
 
 
 two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")

@@ -1,6 +1,11 @@
 """Counterexample construction for every index k >= 4 and its certificates."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +53,25 @@ def test_select_v_brackets_cover_4_to_300():
 def test_select_v_matches_bracket_oracle():
     for k in range(4, 2001):
         assert ce.select_v(k) == oracle_select_v(k), k
+
+
+def test_bracket_s_finds_huge_j_in_its_bracket():
+    # one bracket at a time this is ~10**15 steps; run apart, so the timeout ends it
+    j = 10**30 + 7
+    script = (
+        "from egfrac import counterexamples as ce\n"
+        f"print([ce._bracket_s(residue, {j}) for residue in (1, 2, 3)])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    for residue, s in zip((1, 2, 3), json.loads(proc.stdout), strict=True):
+        _, first, last, _ = ce._BRACKETS[residue]
+        assert first(s) <= j <= last(s)
+        assert s == oracle_select_v(4 * j + residue)[1]
 
 
 def test_check_s5_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from egfrac import lemmas
+from egfrac import _backend, lemmas
 from egfrac._backend import lp1_point, lp11_point, lp50_point, lp12_point
 from egfrac.errors import DomainError
 import oracles
@@ -63,12 +63,12 @@ def test_lp50_ties_are_offset3_ties_at_s1_v3():
     for q in range(5, 2001):
         for u in range(2, (q + 3) // 4 + 1):
             if (q + 3) % u == 0:
-                assert lemmas._point_is_tie_lp11(q, u, 1, 3) == _lp50_tie_by_fractions(q, u)
+                assert _backend._offset3_tie(q, u, 1, 3) == _lp50_tie_by_fractions(q, u)
     # the lp50 box has no ties; off the box there are, and they agree too
     grid = [(q, u) for q in range(1, 301) for u in range(1, 101)]
     ties = {qu for qu in grid if _lp50_tie_by_fractions(*qu)}
     assert len(ties) > 100
-    assert all(lemmas._point_is_tie_lp11(q, u, 1, 3) == ((q, u) in ties) for q, u in grid)
+    assert all(_backend._offset3_tie(q, u, 1, 3) == ((q, u) in ties) for q, u in grid)
     assert lemmas.verify_lp50(100).observations == [
         {"q": 17, "u": 2, "holds": False, "equality": False},
         {"q": 61, "u": 8, "holds": False, "equality": False},
@@ -89,10 +89,23 @@ def test_lp12_report():
 def test_lp12_spot_points():
     # s = 1: floor(61*9/11) = 49 against 3912*9/705 - 1 (just below 49)
     assert (61 * 9) // 11 == 49
-    assert lp12_point(1)
-    assert not lp12_point(155)
-    assert lp12_point(156)
-    assert lp12_point(10**7)
+    assert lp12_point(61, 8, 1, 1)
+    assert not lp12_point(61, 8, 155, 1)
+    assert lp12_point(61, 8, 156, 1)
+    assert lp12_point(61, 8, 10**7, 1)
+
+
+def test_lp12_is_the_offset3_inequality_at_61_8_1():
+    # the kernel against lp12 written out in s alone: the same verdict and tie
+    # at every s, failing and tying only at s = 155
+    failing = []
+    for s in range(1, 20_000):
+        holds = lp12_point(61, 8, s, 1)
+        assert holds == oracles.lp12_point(s), s
+        assert _backend._offset3_tie(61, 8, s, 1) == oracles.lp12_is_tie(s), s
+        if not holds:
+            failing.append(s)
+    assert failing == [155] and oracles.lp12_is_tie(155)
 
 
 def test_q_max_preconditions():
@@ -151,7 +164,7 @@ def test_kernels_match_the_unshared_formulas():
                 point = (q, u, s, v)
                 verdicts.add(lp11_point(*point))
                 assert lp11_point(*point) == oracles.lp11_point(*point), point
-                assert lemmas._point_is_tie_lp11(*point) == oracles.lp11_is_tie(*point), point
+                assert _backend._offset3_tie(*point) == oracles.lp11_is_tie(*point), point
     assert verdicts == {True, False}  # the box holds the failures at (17, 2) and (61, 8)
     # off the boxes, where the inequalities fail and tie far more often
     verdicts = {True: 0, False: 0}
@@ -163,7 +176,7 @@ def test_kernels_match_the_unshared_formulas():
                     point = (q, u, s, v)
                     assert lp1_point(*point) == oracles.lp1_point(*point), point
                     assert lp11_point(*point) == oracles.lp11_point(*point), point
-                    tie = lemmas._point_is_tie_lp11(*point)
+                    tie = _backend._offset3_tie(*point)
                     assert tie == oracles.lp11_is_tie(*point), point
                     verdicts[lp11_point(*point)] += 1
                     ties += tie
