@@ -5,10 +5,12 @@ underapproximation search: one call per row of the threshold sweep, and
 one per node at level m - 1 of ``underapprox.best_m_term``. The lemmas
 lp1, lp11, lp12 and lp50 are one floor inequality with offset c (2 for
 lp1, 3 for the others), written once in ``_offset_point``; one lemma
-point is one ``lp*_point`` call. Everything here is integer-only (floors
-via integer division, comparisons via cross-multiplication), so a sweep
-over millions of points never allocates a Fraction, and every function
-is exact for arbitrarily large inputs.
+point is one ``lp*_point`` call, and ``_offset_tie(c, ...)`` decides,
+at the few points where a kernel fails, whether the two sides are equal.
+Everything here is integer-only (floors via integer division,
+comparisons via cross-multiplication), so a sweep over millions of
+points never allocates a Fraction, and every function is exact for
+arbitrarily large inputs.
 """
 
 from __future__ import annotations
@@ -122,16 +124,16 @@ def _offset_point(c: int):
     return point
 
 
-def _offset3_tie(q: int, u: int, s: int, v: int) -> bool:
-    """True when the two sides of the offset-3 inequality agree exactly.
+def _offset_tie(c: int, q: int, u: int, s: int, v: int) -> bool:
+    """True when the two sides of the offset-c inequality agree exactly.
 
     Private, so it is not counted as a kernel: it runs only at the points
-    where ``lp11_point``, ``lp12_point`` or ``lp50_point`` fails.
+    where an ``lp*_point`` kernel fails.
     """
     b = u * (u + s)
     t = q * u + v
-    lhs = q * b // (s * (q + 3) + 3 * u)
-    return (lhs + 1) * (s * t + 3 * b) == t * b
+    lhs = q * b // (s * (q + c) + c * u)
+    return (lhs + 1) * (s * t + c * b) == t * b
 
 
 # One function object per lemma, so a caller can count each lemma's calls.

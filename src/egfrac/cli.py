@@ -14,7 +14,8 @@ closed by its reader before the output was written (nothing on stderr).
 The tables, ``verify threshold`` and ``phi-samples`` in csv or json, are
 written through one generator, ``_written``, in batches of fixed layouts
 byte for byte equal to what ``csv.writer`` and ``json.dump(indent=2)``
-write. The json threshold report spools its rows, since its keys come first.
+write, and so are the json threshold report's observations. That report
+spools its rows, since its keys and observations come first.
 """
 
 from __future__ import annotations
@@ -281,25 +282,29 @@ def _observation_json(obs) -> str:
     )
 
 
+def _observations_json(batch) -> str:
+    """Observations as items of the report's "observations" list."""
+    return ",".join([_observation_json(obs) for obs in batch])
+
+
 def _emit_threshold_json(report, spool) -> None:
     """Write ``json.dump({**report, "rows": rows}, indent=2)`` plus a newline.
 
     ``spool`` holds the rows as ``_rows_json`` lays them out, in ASCII.
     Only the report's five leading keys, which are small, go through
-    ``json.dumps``; its observations, one per loss row, go through the
-    fixed layouts above.
+    ``json.dumps``; its observations, one per loss row, are written
+    through ``_written`` in batches, as the rows were.
     """
     write = sys.stdout.write
     payload = report.to_json_dict()
     observations = payload.pop("observations")
     passed = payload.pop("passed")
-    head = json.dumps(payload, indent=2)[:-2]  # it ends with "\n}"
+    write(json.dumps(payload, indent=2)[:-2] + ',\n  "observations": [')  # it ends with "\n}"
     if observations:
-        listed = ",".join([_observation_json(obs) for obs in observations])
-        head += f',\n  "observations": [{listed}\n  ]'
-    else:
-        head += ',\n  "observations": []'
-    write(f'{head},\n  "passed": {_JSON_BOOL[passed]},\n  "rows": [')
+        for _ in _written(observations, _observations_json, write, ","):
+            pass
+        write("\n  ")
+    write(f'],\n  "passed": {_JSON_BOOL[passed]},\n  "rows": [')
     spool.seek(0)
     for chunk in iter(lambda: spool.read(1 << 20), b""):
         write(chunk.decode("ascii"))

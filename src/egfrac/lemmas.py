@@ -7,14 +7,28 @@ using only integer arithmetic: floors are Euclidean divisions after
 clearing denominators, comparisons are cross-multiplications. No
 verification path touches approximate arithmetic.
 
-Exceptional points are first-class data: the offset-3 sweeps are expected
-to fail exactly at (q, u) = (17, 2) and (61, 8), and the reports record
-the observed verdicts there (which (s, v) fail, and whether the failure
-is an exact tie, decided by ``_backend._offset3_tie``) so that a
-regression that accidentally "fixes" them is caught. ``verify_lp12``
-checks the offset-3 inequality at (q, u, v) = (61, 8, 1) for every
-s >= 1: it holds except at s = 155, where both sides equal 7 exactly;
-the s >= 156 tail is covered by the threshold argument checked
+lp1, lp11 and lp50 are one inequality with offset c, written once in
+``_backend._offset_point``, over boxes that differ only in c, the least
+quotient (q + c)/u, the (s, v) values and the (q, u) where they are
+expected to fail: (17, 2) and (61, 8) for the offset-3 boxes. ``_BOXES``
+is the one place a box is described, and ``_verify_box`` turns any box
+into its report: the range text is derived from the box, failures are
+the sorted failing (q, u), and each failing point is an observation
+keyed by q, u and the s and v the box varies, with an exact-tie flag
+from ``_backend._offset_tie(c, ...)``, so that a regression that
+"fixes" an exceptional point is caught.
+
+Each box point is one ``_backend`` kernel call, looked up from
+``_backend`` when a q is scanned, so call counts equal the points
+checked. The admissible u of a q come from divisor pairs (d, total/d)
+with d <= isqrt(total), and the points are counted per u as
+len(vs) * len(ss). With ``jobs > 1`` the q-range is split across
+workers; per-q results are added up as they arrive and the failures
+sorted, so worker count never changes output content.
+
+``verify_lp12`` checks the offset-3 inequality at (q, u, v) = (61, 8, 1)
+for every s >= 1: it holds except at s = 155, where both sides equal 7
+exactly; the s >= 156 tail is covered by the threshold argument checked
 symbolically (both bounding linear forms have positive slope, so
 endpoint checks at s = 156 cover the tail).
 
@@ -22,20 +36,6 @@ The brute-force sub-facts quoted inside the lemma proofs (which small
 parameter triples survive an integrality constraint) are reproduced by
 the ``*_survivors`` helpers; the offset-2 and offset-3 cases solve one
 equation with offset c, scanned once by ``_offset_survivors``.
-
-lp1, lp11 and lp50 are one inequality with offset c, written once in
-``_backend._offset_point``, over boxes that differ only in c, the least
-quotient (q + c)/u and the (s, v) values; ``_BOXES`` lists them, and one
-scan serves all three. Each box point is exactly one ``_backend`` kernel
-call, looked up from ``_backend`` when a q is scanned, so call counts
-equal the points checked. For each q the admissible u come from divisor
-pairs (d, total/d) with d <= isqrt(total), 37 remainders at q = 1500
-instead of one per candidate u (up to 499), and the points are counted
-per u as len(vs) * len(ss) rather than one by one.
-
-Sweeps partition their q-range across workers when ``jobs > 1``; the
-per-q results are added up as they arrive and the failures sorted, so
-worker count never changes output content.
 """
 
 from __future__ import annotations
@@ -63,14 +63,14 @@ def _admissible_divisors(total: int, min_quotient: int) -> list[int]:
     ]
 
 
-# lemma -> (kernel, offset c, least quotient (q+c)/u, s values, v values);
-# s values None means 1 <= s < u. The kernel is named, not held, and looked
-# up when a q is scanned, so a kernel replaced on ``_backend`` is the one
-# called.
+# lemma -> (kernel, offset c, least quotient (q+c)/u, s values, v values,
+# expected failing (q, u)); s values None means 1 <= s < u. The kernel is
+# named, not held, and looked up when a q is scanned, so a kernel replaced
+# on ``_backend`` is the one called.
 _BOXES = {
-    "lp1": ("lp1_point", 2, 3, None, (1, 2)),
-    "lp11": ("lp11_point", 3, 4, None, (1, 2, 3)),
-    "lp50": ("lp50_point", 3, 4, (1,), (3,)),
+    "lp1": ("lp1_point", 2, 3, None, (1, 2), []),
+    "lp11": ("lp11_point", 3, 4, None, (1, 2, 3), OFFSET3_EXPECTED_EXCEPTIONS),
+    "lp50": ("lp50_point", 3, 4, (1,), (3,), OFFSET3_EXPECTED_EXCEPTIONS),
 }
 
 
@@ -80,7 +80,7 @@ def _scan_q(lemma: str, q: int) -> tuple[int, list[tuple[int, int, int, int]]]:
     s is the inner loop, over the longer range: one loop setup per v
     rather than per s makes the scan as fast as calls written out per v.
     """
-    name, c, least, s_values, vs = _BOXES[lemma]
+    name, c, least, s_values, vs, _ = _BOXES[lemma]
     point = getattr(_backend, name)
     points = 0
     failures = []
@@ -94,13 +94,15 @@ def _scan_q(lemma: str, q: int) -> tuple[int, list[tuple[int, int, int, int]]]:
     return points, failures
 
 
-def _sweep(lemma: str, q_max: int, jobs: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Points checked and the sorted failing points of the box up to q_max.
+def _verify_box(lemma: str, q_max: int, jobs: int) -> VerificationReport:
+    """The report of the ``_BOXES`` box of ``lemma`` up to q_max.
 
-    The per-q results are added up as they arrive, so no per-q list is
-    kept.
+    Failures are the sorted failing (q, u). Each failing point is one
+    observation, keyed q, u, then s and v where the box varies them, with
+    its verdict and whether the two sides tie. The per-q results are
+    added up as they arrive, so no per-q list is kept.
     """
-    _, c, least, _, _ = _BOXES[lemma]
+    _, c, least, s_values, vs, expected = _BOXES[lemma]
     first_q = 2 * least - c  # u = 2 at the least quotient
     if q_max < first_q:
         raise DomainError(f"q_max must be >= {first_q}")
@@ -108,12 +110,27 @@ def _sweep(lemma: str, q_max: int, jobs: int) -> tuple[int, list[tuple[int, int,
         partial(_scan_q, lemma), range(first_q, q_max + 1), worker_count(jobs), chunksize=32
     )
     points = 0
-    failures = []
+    failing = []
     for n, found in results:
         points += n
-        failures += found
-    failures.sort()
-    return points, failures
+        failing += found
+    failing.sort()
+    varied = "qu" + "s" * (s_values is None) + "v" * (len(vs) > 1)
+    observations = [
+        {key: x for key, x in zip("qusv", point) if key in varied}
+        | {"holds": False, "equality": _backend._offset_tie(c, *point)}
+        for point in failing
+    ]
+    return VerificationReport(
+        lemma_id=lemma,
+        range_descr=f"{first_q} <= q <= {q_max}, u | q+{c}, (q+{c})/u >= {least}"
+        + (", s < u" if "s" in varied else "")
+        + (f", v in {{{','.join(map(str, vs))}}}" if "v" in varied else ""),
+        points_checked=points,
+        failures=sorted({(q, u) for q, u, _, _ in failing}),
+        expected_exceptions=list(expected),
+        observations=observations or (),
+    )
 
 
 def verify_lp1(q_max: int, jobs: int = 1) -> VerificationReport:
@@ -122,14 +139,7 @@ def verify_lp1(q_max: int, jobs: int = 1) -> VerificationReport:
     Box: q <= q_max, u >= 2 with (q+2)/u an integer >= 3, v in {1, 2},
     1 <= s <= u - 1.
     """
-    points, failures = _sweep("lp1", q_max, jobs)
-    return VerificationReport(
-        lemma_id="lp1",
-        range_descr=f"4 <= q <= {q_max}, u | q+2, (q+2)/u >= 3, s < u, v in {{1,2}}",
-        points_checked=points,
-        failures=failures,
-        expected_exceptions=[],
-    )
+    return _verify_box("lp1", q_max, jobs)
 
 
 def verify_lp11(q_max: int, jobs: int = 1) -> VerificationReport:
@@ -140,26 +150,7 @@ def verify_lp11(q_max: int, jobs: int = 1) -> VerificationReport:
     (q, u) = (17, 2) and (61, 8); the observed failing (s, v) points are
     recorded, with the exact-tie flag.
     """
-    points, failing_points = _sweep("lp11", q_max, jobs)
-    observations = [
-        {
-            "q": q,
-            "u": u,
-            "s": s,
-            "v": v,
-            "holds": False,
-            "equality": _backend._offset3_tie(q, u, s, v),
-        }
-        for (q, u, s, v) in failing_points
-    ]
-    return VerificationReport(
-        lemma_id="lp11",
-        range_descr=f"5 <= q <= {q_max}, u | q+3, (q+3)/u >= 4, s < u, v in {{1,2,3}}",
-        points_checked=points,
-        failures=sorted({(q, u) for (q, u, _, _) in failing_points}),
-        expected_exceptions=list(OFFSET3_EXPECTED_EXCEPTIONS),
-        observations=observations,
-    )
+    return _verify_box("lp11", q_max, jobs)
 
 
 def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
@@ -168,20 +159,7 @@ def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
     Box: q <= q_max, u >= 2 with (q+3)/u an integer >= 4. Expected to
     fail exactly at (17, 2) and (61, 8); their verdicts are recorded.
     """
-    points, failing_points = _sweep("lp50", q_max, jobs)
-    failures = [(q, u) for (q, u, _, _) in failing_points]
-    observations = [
-        {"q": q, "u": u, "holds": False, "equality": _backend._offset3_tie(q, u, 1, 3)}
-        for (q, u) in failures
-    ]
-    return VerificationReport(
-        lemma_id="lp50",
-        range_descr=f"5 <= q <= {q_max}, u | q+3, (q+3)/u >= 4",
-        points_checked=points,
-        failures=failures,
-        expected_exceptions=list(OFFSET3_EXPECTED_EXCEPTIONS),
-        observations=observations,
-    )
+    return _verify_box("lp50", q_max, jobs)
 
 
 def verify_lp12() -> VerificationReport:
@@ -207,7 +185,7 @@ def verify_lp12() -> VerificationReport:
         {
             "s": 155,
             "holds": _backend.lp12_point(61, 8, 155, 1),
-            "equality": _backend._offset3_tie(61, 8, 155, 1),
+            "equality": _backend._offset_tie(3, 61, 8, 155, 1),
             "floor_value": (61 * (8 + 155)) // (8 * 155 + 3),
         }
     ]

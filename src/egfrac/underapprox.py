@@ -235,7 +235,7 @@ def _flatten(chunks: Iterator[list]) -> Iterator:
 
 # the single two-term tie below the threshold, and its exact tie set
 TIE_POINT = (10, 17)
-TIE_SET = [(2, 12), (3, 4)]
+TIE_SET = ((2, 12), (3, 4))
 
 
 def _constructed_losses(q_max: int) -> set[tuple[int, int]]:
@@ -260,8 +260,9 @@ def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationRepo
     For upsilon(p, q) <= 3 the greedy pair must be optimal, and uniquely
     so except exactly at 10/17 where the tie set must be {(2,12), (3,4)}.
     For upsilon >= 4, rows where greedy loses are recorded as
-    observations without being asserted either way, except at the
-    constructed counterexamples: greedy provably loses at every
+    observations, which hold the rows' own pair tuples, without being
+    asserted either way, except at the constructed counterexamples:
+    greedy provably loses at every
     ``_constructed_losses(q_max)`` fraction, so one that is not a loss row
     raises InvariantViolation once the rows run out. Every tie and loss
     pair (x1, x2), at any upsilon, must lie in the interval proved for
@@ -286,10 +287,8 @@ def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationRepo
                     )
         if ups <= 3:
             if (p, q) == TIE_POINT:
-                if greedy_is_best and ties == tuple(TIE_SET[1:]):
-                    observations.append(
-                        {"p": p, "q": q, "kind": "tie", "ties": [list(t) for t in TIE_SET]}
-                    )
+                if greedy_is_best and ties == TIE_SET[1:]:
+                    observations.append({"p": p, "q": q, "kind": "tie", "ties": TIE_SET})
                 else:
                     failures.append((p, q))
             elif not (greedy_is_best and unique):
@@ -297,13 +296,7 @@ def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationRepo
         elif not greedy_is_best:
             unmet.discard((p, q))
             observations.append(
-                {
-                    "p": p,
-                    "q": q,
-                    "kind": "loss",
-                    "upsilon": ups,
-                    "losses": [list(t) for t in losses],
-                }
+                {"p": p, "q": q, "kind": "loss", "upsilon": ups, "losses": losses}
             )
     if unmet:
         raise InvariantViolation(

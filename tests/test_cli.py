@@ -359,11 +359,14 @@ def test_phi_samples_runs_in_bounded_memory(tmp_path, fmt, denom):
     assert tail.endswith(b'"1"\n    }\n  }\n]\n' if fmt == "json" else b"\n1,1,1,1\n")
 
 
-# With its rows held in a list until the report's keys are written, this
-# run ends in MemoryError; spooled, it stays near 30 MB of RSS.
+# With its rows held in a list until the report's keys are written, the
+# 1000 run ends in MemoryError; spooled, it stays near 30 MB of RSS. With
+# its observations joined into one string before they are written, the
+# 2000 run ends in MemoryError; written in batches, it peaks near 37 MB.
 def test_threshold_json_runs_in_bounded_memory(tmp_path):
-    tail = _tail_under_data_limit(tmp_path, ["verify", "threshold", "--q-max", "1000"])
-    assert tail.endswith(b'"losses": []\n    }\n  ]\n}\n')
+    for q_max in (1000, 2000):
+        tail = _tail_under_data_limit(tmp_path, ["verify", "threshold", "--q-max", str(q_max)])
+        assert tail.endswith(b'"losses": []\n    }\n  ]\n}\n'), q_max
 
 
 def test_plain_format(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from egfrac import _backend, lemmas
+from egfrac import _backend, cli, lemmas
 from egfrac._backend import lp1_point, lp11_point, lp50_point, lp12_point
 from egfrac.errors import DomainError
 import oracles
@@ -63,12 +63,12 @@ def test_lp50_ties_are_offset3_ties_at_s1_v3():
     for q in range(5, 2001):
         for u in range(2, (q + 3) // 4 + 1):
             if (q + 3) % u == 0:
-                assert _backend._offset3_tie(q, u, 1, 3) == _lp50_tie_by_fractions(q, u)
+                assert _backend._offset_tie(3, q, u, 1, 3) == _lp50_tie_by_fractions(q, u)
     # the lp50 box has no ties; off the box there are, and they agree too
     grid = [(q, u) for q in range(1, 301) for u in range(1, 101)]
     ties = {qu for qu in grid if _lp50_tie_by_fractions(*qu)}
     assert len(ties) > 100
-    assert all(_backend._offset3_tie(q, u, 1, 3) == ((q, u) in ties) for q, u in grid)
+    assert all(_backend._offset_tie(3, q, u, 1, 3) == ((q, u) in ties) for q, u in grid)
     assert lemmas.verify_lp50(100).observations == [
         {"q": 17, "u": 2, "holds": False, "equality": False},
         {"q": 61, "u": 8, "holds": False, "equality": False},
@@ -102,10 +102,37 @@ def test_lp12_is_the_offset3_inequality_at_61_8_1():
     for s in range(1, 20_000):
         holds = lp12_point(61, 8, s, 1)
         assert holds == oracles.lp12_point(s), s
-        assert _backend._offset3_tie(61, 8, s, 1) == oracles.lp12_is_tie(s), s
+        assert _backend._offset_tie(3, 61, 8, s, 1) == oracles.lp12_is_tie(s), s
         if not holds:
             failing.append(s)
     assert failing == [155] and oracles.lp12_is_tie(155)
+
+
+# one admissible point of each box where the kernel holds, off the expected failures
+@pytest.mark.parametrize(
+    "suite, point, keys",
+    [
+        ("lp1", (10, 3, 2, 2), ["q", "u", "s", "v", "holds", "equality"]),
+        ("lp11", (9, 3, 2, 3), ["q", "u", "s", "v", "holds", "equality"]),
+        ("lp50", (9, 3, 1, 3), ["q", "u", "holds", "equality"]),
+    ],
+)
+def test_a_failing_point_is_reported_by_its_q_u(capsys, monkeypatch, suite, point, keys):
+    name = lemmas._BOXES[suite][0]
+    kernel = getattr(_backend, name)
+    assert kernel(*point)
+    monkeypatch.setattr(_backend, name, lambda *p: p != point and kernel(*p))
+    q, u = point[:2]
+    report = getattr(lemmas, f"verify_{suite}")(q)
+    assert report.failures == [(q, u)] and not report.passed
+    [observation] = report.observations
+    assert list(observation) == keys
+    assert observation == dict(zip(keys, point[: len(keys) - 2] + (False, False)))
+
+    code = cli.main(["--format", "plain", "verify", suite, "--q-max", str(q)])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert out.startswith(f"FAIL {suite}") and f"failure at {(q, u)}" in out
 
 
 def test_q_max_preconditions():
@@ -150,6 +177,14 @@ def test_reports_are_deterministic_and_parallel_safe():
     assert lemmas.verify_lp1(100, jobs=2) == lemmas.verify_lp1(100)
 
 
+def _offset2_tie_by_fractions(q, u, s, v):
+    """lp1's two sides, floor(qu(u+s)/(s(q+2)+2u)) and
+    (qu+v)u(u+s)/(squ+vs+2u(u+s)) - 1, agree exactly."""
+    floor_side = q * u * (u + s) // (s * (q + 2) + 2 * u)
+    other_side = Fraction((q * u + v) * u * (u + s), s * q * u + v * s + 2 * u * (u + s)) - 1
+    return floor_side == other_side
+
+
 def test_kernels_match_the_unshared_formulas():
     # the kernels share b = u(u+s) and t = qu+v between the two sides
     verdicts = set()
@@ -164,11 +199,11 @@ def test_kernels_match_the_unshared_formulas():
                 point = (q, u, s, v)
                 verdicts.add(lp11_point(*point))
                 assert lp11_point(*point) == oracles.lp11_point(*point), point
-                assert _backend._offset3_tie(*point) == oracles.lp11_is_tie(*point), point
+                assert _backend._offset_tie(3, *point) == oracles.lp11_is_tie(*point), point
     assert verdicts == {True, False}  # the box holds the failures at (17, 2) and (61, 8)
     # off the boxes, where the inequalities fail and tie far more often
     verdicts = {True: 0, False: 0}
-    ties = 0
+    ties = offset2_ties = 0
     for q in range(1, 61):
         for u in range(1, 25):
             for s in range(1, u + 3):
@@ -176,13 +211,16 @@ def test_kernels_match_the_unshared_formulas():
                     point = (q, u, s, v)
                     assert lp1_point(*point) == oracles.lp1_point(*point), point
                     assert lp11_point(*point) == oracles.lp11_point(*point), point
-                    tie = _backend._offset3_tie(*point)
+                    tie = _backend._offset_tie(3, *point)
                     assert tie == oracles.lp11_is_tie(*point), point
                     verdicts[lp11_point(*point)] += 1
                     ties += tie
+                    tie = _backend._offset_tie(2, *point)
+                    assert tie == _offset2_tie_by_fractions(*point), point
+                    offset2_ties += tie
         for u in range(1, 100):
             assert lp50_point(q, u, 1, 3) == oracles.lp50_point(q, u), (q, u)
-    assert min(verdicts.values()) > 1000 and ties > 10
+    assert min(verdicts.values()) > 1000 and ties > 10 and offset2_ties > 100
 
 
 @pytest.mark.parametrize("q_max", [5, 17, 61, 200])
