@@ -5,8 +5,9 @@ underapproximation search: one call per row of the threshold sweep, and
 one per node at level m - 1 of ``underapprox.best_m_term``. The lemmas
 lp1, lp11, lp12 and lp50 are one floor inequality with offset c (2 for
 lp1, 3 for the others), written once in ``_offset_point``; one lemma
-point is one ``lp*_point`` call, and ``_offset_tie(c, ...)`` decides,
-at the few points where a kernel fails, whether the two sides are equal.
+point is one ``lp*_point`` call (lp12 is ``lp11_point`` at q = 61,
+u = 8, v = 1), and ``_offset_tie(c, ...)`` decides, at the few points
+where a kernel fails, whether the two sides are equal.
 Everything here is integer-only (floors via integer division,
 comparisons via cross-multiplication), so a sweep over millions of
 points never allocates a Fraction, and every function is exact for
@@ -136,10 +137,7 @@ def _offset_tie(c: int, q: int, u: int, s: int, v: int) -> bool:
     return (lhs + 1) * (s * t + c * b) == t * b
 
 
-# One function object per lemma, so a caller can count each lemma's calls.
+# One function object per box lemma, so a caller can count each lemma's calls.
 lp1_point = _offset_point(2)
 lp11_point = _offset_point(3)
-# lp11 at q = 61, u = 8, v = 1 with s unbounded, where it reads
-# floor(61(8+s)/(8s+3)) > 3912(8+s)/(513s+192) - 1
-lp12_point = _offset_point(3)
 lp50_point = _offset_point(3)  # lp11 at s = 1, v = 3

@@ -103,6 +103,11 @@ def check_s5(k: int, v: int) -> bool:
     return lhs > rhs
 
 
+def fraction_for(k: int, v: int) -> tuple[int, int]:
+    """(p, q) = (k + 1, (k+1)kv - k), the fraction built from (k, v)."""
+    return k + 1, (k + 1) * k * v - k
+
+
 def beating_pair(k: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Greedy pair and the pair that beats it, verified exactly.
 
@@ -113,7 +118,7 @@ def beating_pair(k: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """
     if not check_s5(k, v):
         raise DomainError(f"(k, v) = ({k}, {v}) does not satisfy the suitability inequality")
-    p, q = k + 1, (k + 1) * k * v - k
+    p, q = fraction_for(k, v)
     a1 = k * v
     a2 = k * v * ((k + 1) * v - 1) + 1
     x1 = a1 + 1
@@ -177,7 +182,7 @@ def construct(k: int) -> Counterexample:
     failure is a construction bug and raises InvariantViolation.
     """
     v, s = select_v(k)
-    p, q = k + 1, (k + 1) * k * v - k
+    p, q = fraction_for(k, v)
     if upsilon(p, q) != k or q % k != 0:
         raise InvariantViolation(f"constructed q = {q} has the wrong divisibility at k = {k}")
     greedy, beating = beating_pair(k, v)
@@ -227,7 +232,6 @@ def check_fractional_claims(claim: str, j_max: int) -> VerificationReport:
         range_descr=f"{j_min} <= j <= {j_max}, s by bracket rule",
         points_checked=points,
         failures=failures,
-        expected_exceptions=[],
     )
 
 
@@ -281,7 +285,6 @@ def check_root_interval(residue_case: int, s_max: int) -> VerificationReport:
         range_descr=f"{s_min} <= s <= {s_max}, both bracket endpoints",
         points_checked=points,
         failures=failures,
-        expected_exceptions=[],
     )
 
 
@@ -297,5 +300,4 @@ def verify_tables() -> VerificationReport:
         range_descr=f"{len(entries)} tabulated (k, v) entries",
         points_checked=len(entries),
         failures=failures,
-        expected_exceptions=[],
     )

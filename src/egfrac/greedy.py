@@ -219,14 +219,7 @@ class UpsilonProfile(NamedTuple):
     family: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "upsilon": self.upsilon,
-            "ell": self.ell,
-            "delta": self.delta,
-            "family": self.family,
-        }
+        return self._asdict()
 
 
 def upsilon_profile(p: int, q: int) -> UpsilonProfile:
@@ -358,38 +351,3 @@ def closed_form(p: int, q: int, m: int) -> list[int]:
             f"{terms} vs {computed}"
         )
     return terms
-
-
-def eventual_quadratic_recurrence(p: int, q: int, horizon: int) -> bool:
-    """Check a_{n+1} = a_n**2 - a_n + 1 for all ell+1 <= n < horizon.
-
-    For reduced p/q the residual after ell steps has an integral
-    reciprocal, which forces the recurrence from index ell + 1 on. On the
-    first ``horizon`` terms, ``Expansion.recurrence_start`` (often
-    earlier) must then be at most ell + 1.
-    """
-    ell = ell_index(p, q)
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    start = expand(Fraction(p, q), horizon).recurrence_start
-    return horizon <= ell + 1 or (start is not None and start <= ell + 1)
-
-
-def growth_condition_check(seq: Sequence[int], n: int) -> bool:
-    """Check the growth inequality along a finite denominator prefix.
-
-    c_{k+1} >= n*c_k**2 - c_k + 1 for every consecutive pair (targets
-    whose expansions satisfy it at every step are exactly those where the
-    greedy term ties the best numerator-n choice forever, and they are all
-    irrational).
-
-    Only the finitely many stated inequalities are checked; no claim is
-    made about any infinite tail.
-    """
-    if not seq:
-        raise DomainError("sequence must be nonempty")
-    if seq[0] < 2:
-        raise DomainError("first term must be >= 2")
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    return all(seq[i + 1] >= n * seq[i] ** 2 - seq[i] + 1 for i in range(len(seq) - 1))

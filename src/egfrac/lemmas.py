@@ -15,8 +15,9 @@ is the one place a box is described, and ``_verify_box`` turns any box
 into its report: the range text is derived from the box, failures are
 the sorted failing (q, u), and each failing point is an observation
 keyed by q, u and the s and v the box varies, with an exact-tie flag
-from ``_backend._offset_tie(c, ...)``, so that a regression that
-"fixes" an exceptional point is caught.
+from ``_backend._offset_tie(c, ...)``. A report passes only when its
+failures are exactly the box's expected (q, u) with q <= q_max, so a
+regression that "fixes" an exceptional point fails the sweep.
 
 Each box point is one ``_backend`` kernel call, looked up from
 ``_backend`` when a q is scanned, so call counts equal the points
@@ -97,7 +98,8 @@ def _scan_q(lemma: str, q: int) -> tuple[int, list[tuple[int, int, int, int]]]:
 def _verify_box(lemma: str, q_max: int, jobs: int) -> VerificationReport:
     """The report of the ``_BOXES`` box of ``lemma`` up to q_max.
 
-    Failures are the sorted failing (q, u). Each failing point is one
+    Failures are the sorted failing (q, u); the expected ones are the
+    box's with q <= q_max. Each failing point is one
     observation, keyed q, u, then s and v where the box varies them, with
     its verdict and whether the two sides tie. The per-q results are
     added up as they arrive, so no per-q list is kept.
@@ -128,7 +130,7 @@ def _verify_box(lemma: str, q_max: int, jobs: int) -> VerificationReport:
         + (f", v in {{{','.join(map(str, vs))}}}" if "v" in varied else ""),
         points_checked=points,
         failures=sorted({(q, u) for q, u, _, _ in failing}),
-        expected_exceptions=list(expected),
+        expected_exceptions=[(q, u) for q, u in expected if q <= q_max],
         observations=observations or (),
     )
 
@@ -164,7 +166,7 @@ def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
 
 def verify_lp12() -> VerificationReport:
     """Verify floor(61(8+s)/(8s+3)) > 3912(8+s)/(513s+192) - 1 for every
-    s >= 1 except s = 155: ``lp12_point`` at (q, u, v) = (61, 8, 1).
+    s >= 1 except s = 155: ``lp11_point`` at (q, u, v) = (61, 8, 1).
 
     Points 1 <= s <= 154 are checked exactly. At s = 155 both sides equal
     7 and the strict inequality fails; the verdict is recorded as an
@@ -178,13 +180,13 @@ def verify_lp12() -> VerificationReport:
     points = 0
     for s in range(1, 155):
         points += 1
-        if not _backend.lp12_point(61, 8, s, 1):
+        if not _backend.lp11_point(61, 8, s, 1):
             failures.append((s,))
 
     observations = [
         {
             "s": 155,
-            "holds": _backend.lp12_point(61, 8, 155, 1),
+            "holds": _backend.lp11_point(61, 8, 155, 1),
             "equality": _backend._offset_tie(3, 61, 8, 155, 1),
             "floor_value": (61 * (8 + 155)) // (8 * 155 + 3),
         }
@@ -210,7 +212,6 @@ def verify_lp12() -> VerificationReport:
         range_descr="1 <= s <= 154 pointwise; s = 155 recorded; s >= 156 by threshold argument",
         points_checked=points,
         failures=failures,
-        expected_exceptions=[],
         observations=observations,
     )
 

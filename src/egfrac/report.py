@@ -1,8 +1,9 @@
 """Verification report shared by every sweep.
 
 A report records what was swept, how many points were checked, which
-points failed, and which failing points were expected going in. A sweep
-passes exactly when its failures are contained in the expected set.
+points failed, and which failing points were expected going in (none by
+default). A sweep passes exactly when its failures are the expected set,
+so an expected failure that does not happen fails it too.
 Reports are deterministic: failure and observation lists are sorted, so
 identical inputs produce byte-identical serializations regardless of how
 many workers ran the sweep.
@@ -18,13 +19,13 @@ class VerificationReport(NamedTuple):
     range_descr: str
     points_checked: int
     failures: list[tuple]
-    expected_exceptions: list[tuple]
+    expected_exceptions: Sequence[tuple] = ()
     # verdicts recorded at exceptional or otherwise notable points
     observations: Sequence[dict] = ()
 
     @property
     def passed(self) -> bool:
-        return set(self.failures) <= set(self.expected_exceptions)
+        return set(self.failures) == set(self.expected_exceptions)
 
     def to_json_dict(self) -> dict:
         return {

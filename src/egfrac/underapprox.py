@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import _backend, rational
 from ._pool import ordered_map, worker_count
-from .counterexamples import select_v
+from .counterexamples import fraction_for, select_v
 from .errors import DomainError, InvariantViolation, SearchInconclusive
 from .greedy import _require_unit_interval, expand, upsilon
 from .report import VerificationReport
@@ -110,13 +110,8 @@ def best_m_term(
         raise DomainError("budget must be a positive integer")
     p, q = theta.numerator, theta.denominator
 
-    greedy_terms = expand(theta, m, digit_guard=digit_guard).terms
-    bn, bd = 0, 1
-    for a in greedy_terms:
-        bn, bd = bn * a + bd, bd * a
-    g = gcd(bn, bd)
-    bn, bd = bn // g, bd // g
-    e_num, e_den = p * bd - bn * q, q * bd  # theta - B for the incumbent sum B
+    _, greedy_terms, error, _ = expand(theta, m, digit_guard=digit_guard)
+    e_num, e_den = error.numerator, error.denominator  # theta - B for the greedy sum B
     found: set[tuple[int, ...]] = {tuple(greedy_terms)}
     nodes = [0] * (m - 1)
     pruned = [0] * (m - 1)
@@ -170,7 +165,7 @@ def best_m_term(
         descend(1, 2, 0, 1)
 
     optimal_sum = theta - Fraction(e_num, e_den)
-    greedy_sum = Fraction(bn, bd)
+    greedy_sum = theta - error
     tuples = sorted(found)
     return UnderapproxResult(
         theta=theta,
@@ -241,16 +236,15 @@ TIE_SET = ((2, 12), (3, 4))
 def _constructed_losses(q_max: int) -> set[tuple[int, int]]:
     """The p/q of ``counterexamples.construct(k)`` with q <= q_max, k >= 4.
 
-    Each is (k+1)/(k((k+1)v - 1)) with v = select_v(k), reduced since k
+    Each is ``fraction_for(k, v)`` with v = select_v(k), reduced since k
     and (k+1)v - 1 are prime to k+1; q >= k^2, so k <= isqrt(q_max).
     ``construct`` itself is not called: it re-derives the greedy pair.
     """
     losses = set()
     for k in range(4, isqrt(q_max) + 1):
-        v, _ = select_v(k)
-        q = k * ((k + 1) * v - 1)
+        p, q = fraction_for(k, select_v(k)[0])
         if q <= q_max:
-            losses.add((k + 1, q))
+            losses.add((p, q))
     return losses
 
 
@@ -307,6 +301,5 @@ def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationRepo
         range_descr=f"reduced p/q, p < q <= {q_max}",
         points_checked=points,
         failures=sorted(failures),
-        expected_exceptions=[],
         observations=observations,
     )

@@ -303,30 +303,17 @@ def test_closed_form_checks_the_expansion(monkeypatch):
 
 
 def test_eventual_quadratic_recurrence():
-    assert greedy.eventual_quadratic_recurrence(9, 28, 9)
-    assert greedy.eventual_quadratic_recurrence(1, 7, 5)
-    assert greedy.eventual_quadratic_recurrence(7, 54, 6)
-    # observed start indices from the expansion oracle
+    # observed start indices: at most delta + 1, where the error becomes 1/n
     assert greedy.expand(Fraction(9, 28), 9).recurrence_start == 2
     assert greedy.expand(Fraction(1, 7), 5).recurrence_start == 1
     assert greedy.expand(Fraction(7, 54), 6).recurrence_start == 2
+    assert [greedy.delta_index(p, q) for p, q in [(9, 28), (1, 7), (7, 54)]] == [1, 0, 1]
 
 
 def test_eventual_quadratic_recurrence_sweep():
-    # horizon capped: term digit counts double per step, so a window a few
-    # terms past ell is all that is computable (and all that is needed)
+    # after delta steps the error is 1/n, whose terms n+1, n^2+n+1, ... follow
+    # a_{j+1} = a_j^2 - a_j + 1; two pairs past delta keep the digits small
     for p, q in reduced_fractions(40):
-        if (p, q) == (1, 1):
-            continue
-        horizon = min(greedy.ell_index(p, q) + 3, 9)
-        assert greedy.eventual_quadratic_recurrence(p, q, horizon)
-
-
-def test_growth_condition_check():
-    assert not greedy.growth_condition_check([2, 7, 85], 2)
-    assert greedy.growth_condition_check([2, 7, 92], 2)
-    assert greedy.growth_condition_check(SYLVESTER_8, 1)
-    with pytest.raises(DomainError):
-        greedy.growth_condition_check([], 1)
-    with pytest.raises(DomainError):
-        greedy.growth_condition_check([1, 2], 1)
+        delta = greedy.delta_index(p, q)
+        start = greedy.expand(Fraction(p, q), delta + 3).recurrence_start
+        assert start is not None and start <= delta + 1, (p, q)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from egfrac import _backend, cli, lemmas
-from egfrac._backend import lp1_point, lp11_point, lp50_point, lp12_point
+from egfrac._backend import lp1_point, lp11_point, lp50_point
 from egfrac.errors import DomainError
 import oracles
 
@@ -78,7 +78,7 @@ def test_lp50_ties_are_offset3_ties_at_s1_v3():
 def test_lp12_report():
     report = lemmas.verify_lp12()
     assert report.passed
-    assert report.failures == []
+    assert report.failures == [] and report.expected_exceptions == ()
     obs = report.observations[0]
     assert obs["s"] == 155
     assert obs["equality"] is True
@@ -89,10 +89,10 @@ def test_lp12_report():
 def test_lp12_spot_points():
     # s = 1: floor(61*9/11) = 49 against 3912*9/705 - 1 (just below 49)
     assert (61 * 9) // 11 == 49
-    assert lp12_point(61, 8, 1, 1)
-    assert not lp12_point(61, 8, 155, 1)
-    assert lp12_point(61, 8, 156, 1)
-    assert lp12_point(61, 8, 10**7, 1)
+    assert lp11_point(61, 8, 1, 1)
+    assert not lp11_point(61, 8, 155, 1)
+    assert lp11_point(61, 8, 156, 1)
+    assert lp11_point(61, 8, 10**7, 1)
 
 
 def test_lp12_is_the_offset3_inequality_at_61_8_1():
@@ -100,7 +100,7 @@ def test_lp12_is_the_offset3_inequality_at_61_8_1():
     # at every s, failing and tying only at s = 155
     failing = []
     for s in range(1, 20_000):
-        holds = lp12_point(61, 8, s, 1)
+        holds = lp11_point(61, 8, s, 1)
         assert holds == oracles.lp12_point(s), s
         assert _backend._offset_tie(3, 61, 8, s, 1) == oracles.lp12_is_tie(s), s
         if not holds:
@@ -133,6 +133,34 @@ def test_a_failing_point_is_reported_by_its_q_u(capsys, monkeypatch, suite, poin
     out = capsys.readouterr().out
     assert code == cli.EXIT_VERIFY_FAILED
     assert out.startswith(f"FAIL {suite}") and f"failure at {(q, u)}" in out
+
+
+# a kernel that holds at an expected failure: the lemma's exceptions are lost
+@pytest.mark.parametrize("holds_at", ["17-2", "everywhere"])
+@pytest.mark.parametrize("suite", ["lp11", "lp50"])
+def test_a_kernel_that_holds_at_an_expected_failure_fails_the_sweep(
+    capsys, monkeypatch, suite, holds_at
+):
+    name = lemmas._BOXES[suite][0]
+    kernel = getattr(_backend, name)
+    if holds_at == "everywhere":
+        monkeypatch.setattr(_backend, name, lambda *p: True)
+    else:
+        monkeypatch.setattr(_backend, name, lambda *p: p[:2] == (17, 2) or kernel(*p))
+    assert not getattr(lemmas, f"verify_{suite}")(100).passed
+    code = cli.main(["--format", "plain", "verify", suite, "--q-max", "100"])
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert capsys.readouterr().out.startswith(f"FAIL {suite}")
+
+
+@pytest.mark.parametrize(
+    "q_max, expected",
+    [(16, []), (17, [(17, 2)]), (60, [(17, 2)]), (61, [(17, 2), (61, 8)])],
+)
+def test_expected_exceptions_are_the_ones_in_range(q_max, expected):
+    report = lemmas.verify_lp11(q_max)
+    assert report.expected_exceptions == expected
+    assert report.failures == expected and report.passed
 
 
 def test_q_max_preconditions():

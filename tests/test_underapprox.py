@@ -118,6 +118,14 @@ def test_result_tuples_share_the_optimal_sum():
             assert r.optimal_sum >= r.greedy_sum
 
 
+def test_greedy_sum_is_the_sum_of_the_greedy_terms():
+    for p, q in reduced_fractions(40):
+        for m in (1, 2, 3, 4):
+            r = underapprox.best_m_term(Fraction(p, q), m)
+            assert r.greedy_sum == sum(Fraction(1, a) for a in r.greedy_terms), (p, q, m)
+            assert r.greedy_is_best == (r.optimal_sum == r.greedy_sum), (p, q, m)
+
+
 def test_closing_term_is_exact_and_above_the_error_floor():
     rng = random.Random(6)
     for _ in range(2000):
