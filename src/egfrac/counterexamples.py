@@ -10,9 +10,10 @@ p/q. Suitability of v is exactly the strict floor inequality evaluated by
 ``check_s5``.
 
 The choice of v splits on k mod 4: for k = 4j it is always v = 1; the
-other residues pick v from a bracket in s whose endpoints tile the j-axis
-(``_BRACKETS``; tables of hand-checked (k, v) values cover the small j
-before each bracket rule starts). The quadratic certificates behind the
+other residues pick v from a bracket in s, the j from its start up to the
+next bracket's start, so the brackets tile the j-axis (``_BRACKETS``;
+tables of hand-checked (k, v) values cover the small j before each
+bracket rule starts). The quadratic certificates behind the
 bracket rules are verified without any square roots: the quadratic has
 positive leading coefficient, so checking strict negativity at both
 integer endpoints of a bracket covers every j inside it by convexity
@@ -28,16 +29,17 @@ from typing import NamedTuple, Optional
 
 from . import rational
 from .errors import DomainError, InvariantViolation
-from .greedy import expand, g_func, upsilon
+from .greedy import closed_form, g_func, upsilon
 from .report import VerificationReport
 
-# k mod 4 -> (s_min, first j of bracket s, last j of bracket s, v for bracket s).
-# For k = 4j + residue, the bracket holding j gives v; the brackets of
-# consecutive s tile the j-axis from the first j of bracket s_min on.
+# k mod 4 -> (s_min, first j of bracket s, v for bracket s). For
+# k = 4j + residue, the bracket holding j gives v. Bracket s is
+# first(s) <= j < first(s + 1), so the brackets of consecutive s tile the
+# j-axis from first(s_min) on, and each is written by its start only.
 _BRACKETS = {
-    1: (1, lambda s: s * (s + 1) // 2, lambda s: (s + 1) * (s + 2) // 2 - 1, lambda s: 2 * s + 5),
-    2: (0, lambda s: 12 + s * (s + 7), lambda s: 11 + (s + 1) * (s + 8), lambda s: 4 * s + 20),
-    3: (2, lambda s: s * (s + 1), lambda s: (s + 1) * (s + 2) - 1, lambda s: 4 * s + 8),
+    1: (1, lambda s: s * (s + 1) // 2, lambda s: 2 * s + 5),
+    2: (0, lambda s: 12 + s * (s + 7), lambda s: 4 * s + 20),
+    3: (2, lambda s: s * (s + 1), lambda s: 4 * s + 8),
 }
 
 # Hand-picked v for k = 4j+2 with 1 <= j <= 11; the bracket rule takes
@@ -111,16 +113,16 @@ def fraction_for(k: int, v: int) -> tuple[int, int]:
 def beating_pair(k: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Greedy pair and the pair that beats it, verified exactly.
 
-    Requires check_s5(k, v). Returns ((a1, a2), (x1, x2)) with
-    a1 = kv, a2 = kv((k+1)v - 1) + 1, x1 = a1 + 1 and x2 the greedy
-    partner of x1, and asserts the strict sandwich
-    1/a1 + 1/a2 < 1/x1 + 1/x2 < p/q.
+    Requires check_s5(k, v). Returns ((a1, a2), (x1, x2)) with (a1, a2)
+    the greedy pair from ``closed_form`` (upsilon = k divides q, so
+    a1 = kv and a2 = kv((k+1)v - 1) + 1, checked there against the
+    expansion), x1 = a1 + 1 and x2 the greedy partner of x1, and asserts
+    the strict sandwich 1/a1 + 1/a2 < 1/x1 + 1/x2 < p/q.
     """
     if not check_s5(k, v):
         raise DomainError(f"(k, v) = ({k}, {v}) does not satisfy the suitability inequality")
     p, q = fraction_for(k, v)
-    a1 = k * v
-    a2 = k * v * ((k + 1) * v - 1) + 1
+    a1, a2 = closed_form(p, q, 2)
     x1 = a1 + 1
     x2 = _core(k, v) // (2 * k + 1) + 1
 
@@ -139,10 +141,10 @@ def _bracket_s(residue: int, j: int) -> int:
 
     first(s) increases with s, so s is the last s with first(s) <= j, found
     by doubling a step from s_min and then halving it: O(log j) brackets
-    are looked at, not O(sqrt j). The brackets tile the j-axis; that j
-    lies in bracket s, and in no neighbour, is asserted, not assumed.
+    are looked at, not O(sqrt j). That j lies in bracket s, that is
+    first(s) <= j < first(s + 1), is asserted, not assumed.
     """
-    s_min, first, last, _ = _BRACKETS[residue]
+    s_min, first, _ = _BRACKETS[residue]
     s, step = s_min, 1
     while first(s + step) <= j:
         s += step
@@ -151,10 +153,8 @@ def _bracket_s(residue: int, j: int) -> int:
         step //= 2
         if first(s + step) <= j:
             s += step
-    if not first(s) <= j <= last(s):
-        raise InvariantViolation(f"bracket rule skipped j = {j}")
-    if (s > s_min and j <= last(s - 1)) or first(s + 1) <= j:
-        raise InvariantViolation(f"bracket rule ambiguous at j = {j}")
+    if not first(s) <= j < first(s + 1):
+        raise InvariantViolation(f"bracket rule misses j = {j}")
     return s
 
 
@@ -170,7 +170,7 @@ def select_v(k: int) -> tuple[int, Optional[int]]:
     if k in TABLE_2:
         return TABLE_2[k], None
     s = _bracket_s(residue, k // 4)
-    v_of = _BRACKETS[residue][3]
+    v_of = _BRACKETS[residue][2]
     return v_of(s), s
 
 
@@ -178,16 +178,15 @@ def construct(k: int) -> Counterexample:
     """Counterexample fraction for divisibility index k >= 4.
 
     Verifies, before returning: upsilon(p, q) = k, k | q, the greedy pair
-    matches the actual expansion, and the strict sandwich inequality. Any
-    failure is a construction bug and raises InvariantViolation.
+    matches the actual expansion (in ``closed_form``), and the strict
+    sandwich inequality. Any failure is a construction bug and raises
+    InvariantViolation.
     """
     v, s = select_v(k)
     p, q = fraction_for(k, v)
     if upsilon(p, q) != k or q % k != 0:
         raise InvariantViolation(f"constructed q = {q} has the wrong divisibility at k = {k}")
     greedy, beating = beating_pair(k, v)
-    if expand(Fraction(p, q), 2).terms != list(greedy):
-        raise InvariantViolation(f"greedy pair formula wrong at k = {k}, v = {v}")
     return Counterexample(k=k, p=p, q=q, v=v, s=s, greedy_pair=greedy, beating_pair=beating)
 
 
@@ -214,7 +213,7 @@ def check_fractional_claims(claim: str, j_max: int) -> VerificationReport:
     if claim not in _CLAIMS:
         raise DomainError(f"unknown claim {claim!r}; expected one of {sorted(_CLAIMS)}")
     residue, claimed_of = _CLAIMS[claim]
-    s_min, first, _, v_of = _BRACKETS[residue]
+    s_min, first, v_of = _BRACKETS[residue]
     j_min = first(s_min)
     if j_max < j_min:
         raise DomainError(f"j_max must be >= {j_min} for {claim}")
@@ -271,12 +270,12 @@ def check_root_interval(residue_case: int, s_max: int) -> VerificationReport:
     if s_max < 2:
         raise DomainError("s_max must be >= 2")
     coeffs = _ROOT_COEFFS[residue_case]
-    s_min, first, last, _ = _BRACKETS[residue_case]
+    s_min, first, _ = _BRACKETS[residue_case]
     failures = []
     points = 0
     for s in range(s_min, s_max + 1):
         a, b, c = coeffs(s)
-        for j in (first(s), last(s)):
+        for j in (first(s), first(s + 1) - 1):
             points += 1
             if not a * j * j - b * j - c < 0:
                 failures.append((s, j))

@@ -1,8 +1,9 @@
 """Exact finite-range verification of the floor-inequality lemmas.
 
-Each sweep walks a parameter box (q, u, s, v) where u runs over the
-divisors of q + 2 (offset-2 family) or q + 3 (offset-3 family) with a
-minimum quotient, and decides a strict floor inequality at every point
+Each sweep walks a parameter box (q, u, s, v) where u >= 2 divides
+q + c, with c = 2 (offset-2 family) or 3 (offset-3 family), and the
+quotient k = (q + c)/u is at least 3 (offset 2) or 4 (offset 3); that
+is, q = k*u - c. It decides a strict floor inequality at every point
 using only integer arithmetic: floors are Euclidean divisions after
 clearing denominators, comparisons are cross-multiplications. No
 verification path touches approximate arithmetic.
@@ -20,12 +21,12 @@ failures are exactly the box's expected (q, u) with q <= q_max, so a
 regression that "fixes" an exceptional point fails the sweep.
 
 Each box point is one ``_backend`` kernel call, looked up from
-``_backend`` when a q is scanned, so call counts equal the points
-checked. The admissible u of a q come from divisor pairs (d, total/d)
-with d <= isqrt(total), and the points are counted per u as
-len(vs) * len(ss). With ``jobs > 1`` the q-range is split across
-workers; per-q results are added up as they arrive and the failures
-sorted, so worker count never changes output content.
+``_backend`` when a u is scanned, so call counts equal the points
+checked. The box is walked in (u, k) coordinates: for each u the q are
+least*u - c, then every u-th q up to q_max, and the points are counted
+per u as len(qs) * len(vs) * len(ss). With ``jobs > 1`` the u-range is
+split across workers; per-u results are added up as they arrive and the
+failures sorted, so worker count never changes output content.
 
 ``verify_lp12`` checks the offset-3 inequality at (q, u, v) = (61, 8, 1)
 for every s >= 1: it holds except at s = 155, where both sides equal 7
@@ -42,7 +43,6 @@ equation with offset c, scanned once by ``_offset_survivors``.
 from __future__ import annotations
 
 from functools import partial
-from math import isqrt
 
 from . import _backend
 from ._pool import ordered_map, worker_count
@@ -52,21 +52,9 @@ from .report import VerificationReport
 OFFSET3_EXPECTED_EXCEPTIONS = [(17, 2), (61, 8)]
 
 
-def _admissible_divisors(total: int, min_quotient: int) -> list[int]:
-    """Divisors u >= 2 of total with total/u >= min_quotient, ascending.
-
-    Found as pairs (d, total/d) with d <= isqrt(total): d is admissible
-    when total/d >= min_quotient, and total/d when d >= min_quotient.
-    """
-    small = [d for d in range(2, isqrt(total) + 1) if total % d == 0]
-    return [d for d in small if total // d >= min_quotient] + [
-        total // d for d in reversed(small) if d >= min_quotient and d * d != total
-    ]
-
-
 # lemma -> (kernel, offset c, least quotient (q+c)/u, s values, v values,
 # expected failing (q, u)); s values None means 1 <= s < u. The kernel is
-# named, not held, and looked up when a q is scanned, so a kernel replaced
+# named, not held, and looked up when a u is scanned, so a kernel replaced
 # on ``_backend`` is the one called.
 _BOXES = {
     "lp1": ("lp1_point", 2, 3, None, (1, 2), []),
@@ -75,24 +63,24 @@ _BOXES = {
 }
 
 
-def _scan_q(lemma: str, q: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Points checked at q, and the failing (q, u, s, v).
+def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Points checked at u, and the failing (q, u, s, v).
 
+    The q of u are q = k*u - c for k >= the least quotient, up to q_max.
     s is the inner loop, over the longer range: one loop setup per v
     rather than per s makes the scan as fast as calls written out per v.
     """
     name, c, least, s_values, vs, _ = _BOXES[lemma]
     point = getattr(_backend, name)
-    points = 0
+    qs = range(least * u - c, q_max + 1, u)
+    ss = range(1, u) if s_values is None else s_values
     failures = []
-    for u in _admissible_divisors(q + c, least):
-        ss = range(1, u) if s_values is None else s_values
-        points += len(vs) * len(ss)
+    for q in qs:
         for v in vs:
             for s in ss:
                 if not point(q, u, s, v):
                     failures.append((q, u, s, v))
-    return points, failures
+    return len(qs) * len(vs) * len(ss), failures
 
 
 def _verify_box(lemma: str, q_max: int, jobs: int) -> VerificationReport:
@@ -101,16 +89,15 @@ def _verify_box(lemma: str, q_max: int, jobs: int) -> VerificationReport:
     Failures are the sorted failing (q, u); the expected ones are the
     box's with q <= q_max. Each failing point is one
     observation, keyed q, u, then s and v where the box varies them, with
-    its verdict and whether the two sides tie. The per-q results are
-    added up as they arrive, so no per-q list is kept.
+    its verdict and whether the two sides tie. The per-u results are
+    added up as they arrive, so no per-u list is kept.
     """
     _, c, least, s_values, vs, expected = _BOXES[lemma]
     first_q = 2 * least - c  # u = 2 at the least quotient
     if q_max < first_q:
         raise DomainError(f"q_max must be >= {first_q}")
-    results = ordered_map(
-        partial(_scan_q, lemma), range(first_q, q_max + 1), worker_count(jobs), chunksize=32
-    )
+    us = range(2, (q_max + c) // least + 1)  # the last u has q = least*u - c <= q_max
+    results = ordered_map(partial(_scan_u, lemma, q_max), us, worker_count(jobs), chunksize=8)
     points = 0
     failing = []
     for n, found in results:
@@ -248,10 +235,11 @@ def lp1_case_survivors(k: int) -> list[tuple[int, int, int]]:
 
 
 _LP11_CASES = {
-    # case -> (j offset over ks, v, u range, k range, s_min, surviving condition)
-    "2": (1, 3, range(2, 5), range(4, 7), 1, lambda s, ell, u: 3 * s * (ell + 1) <= u * u),
-    "3.1": (2, 2, range(2, 18), range(4, 11), 1, lambda s, ell, u: 2 * s * (ell + 1) <= u * u),
-    "3.2": (2, 3, range(3, 27), range(4, 14), 2, lambda s, ell, u: 3 * s * (ell + 1) <= 2 * u * u),
+    # case -> (j offset over ks, u range, k range, s_min, surviving condition);
+    # the paper splits the cases by v: v = 3 in "2" and "3.2", v = 2 in "3.1"
+    "2": (1, range(2, 5), range(4, 7), 1, lambda s, ell, u: 3 * s * (ell + 1) <= u * u),
+    "3.1": (2, range(2, 18), range(4, 11), 1, lambda s, ell, u: 2 * s * (ell + 1) <= u * u),
+    "3.2": (2, range(3, 27), range(4, 14), 2, lambda s, ell, u: 3 * s * (ell + 1) <= 2 * u * u),
 }
 
 
@@ -266,7 +254,7 @@ def lp11_case_survivors(case: str) -> list[tuple[int, int, int, int]]:
     """
     if case not in _LP11_CASES:
         raise DomainError(f"unknown case {case!r}; expected one of {sorted(_LP11_CASES)}")
-    j_offset, _v, u_range, k_range, s_min, small = _LP11_CASES[case]
+    j_offset, u_range, k_range, s_min, small = _LP11_CASES[case]
     return [
         (u, s, k, ell)
         for u, s, k, ell in _offset_survivors(3, j_offset, u_range, k_range, s_min)

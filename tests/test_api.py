@@ -11,7 +11,6 @@ CALLERS = PACKAGE + sorted(p for p in HARNESS if not p.name.startswith("test_"))
 
 # public names kept without a caller, each for a stated reason
 EXEMPT = {
-    "closed_form": "backs the closed-form acceptance criterion",
     "lp1_case_survivors": "a sub-fact of the lp1 proof, kept until its certificate replaces it",
     "lp11_case_survivors": "a sub-fact of the lp11 proof, kept until its certificate replaces it",
     "lp50_congruence_solvable_ks": "a sub-fact of the lp50 proof, kept until its certificate replaces it",

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from egfrac import counterexamples as ce
-from egfrac import greedy, underapprox
-from egfrac.errors import DomainError
+from egfrac import cli, greedy, underapprox
+from egfrac.errors import DomainError, InvariantViolation
 from oracles import select_v as oracle_select_v
 
 
@@ -69,8 +69,8 @@ def test_bracket_s_finds_huge_j_in_its_bracket():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     for residue, s in zip((1, 2, 3), json.loads(proc.stdout), strict=True):
-        _, first, last, _ = ce._BRACKETS[residue]
-        assert first(s) <= j <= last(s)
+        _, first, _ = ce._BRACKETS[residue]
+        assert first(s) <= j < first(s + 1)
         assert s == oracle_select_v(4 * j + residue)[1]
 
 
@@ -124,6 +124,19 @@ def test_construct_sweep_small():
         # the beating pair is findable by the complete two-term search
         best = underapprox.best_m_term(Fraction(c.p, c.q), 2)
         assert not best.greedy_is_best
+
+
+def test_construct_checks_its_family_then_its_greedy_pair(monkeypatch):
+    # the greedy pair is closed_form's, checked there against the expansion
+    real = greedy.expand
+    monkeypatch.setattr(
+        greedy, "expand", lambda theta, m: real(theta, m)._replace(terms=[2] * m)
+    )
+    with pytest.raises(InvariantViolation):
+        ce.construct(6)
+    # a wrong divisibility index is construct's own check, and exits 6
+    monkeypatch.setattr(ce, "upsilon", lambda p, q: 3)
+    assert cli.main(["construct", "6"]) == cli.EXIT_INVARIANT
 
 
 def test_counterexample_json():

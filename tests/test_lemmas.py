@@ -197,12 +197,15 @@ def test_lp50_congruence_subfacts():
 
 
 def test_reports_are_deterministic_and_parallel_safe():
+    # 29 u for the offset-3 boxes at q_max 120 and 33 for lp1 at 100: the
+    # pool's chunks of 8 u do not divide them evenly
     a = lemmas.verify_lp11(120)
     b = lemmas.verify_lp11(120)
     assert a == b
     c = lemmas.verify_lp11(120, jobs=2)
     assert a == c
     assert lemmas.verify_lp1(100, jobs=2) == lemmas.verify_lp1(100)
+    assert lemmas.verify_lp50(120, jobs=2) == lemmas.verify_lp50(120)
 
 
 def _offset2_tie_by_fractions(q, u, s, v):
@@ -269,13 +272,38 @@ def test_points_checked_is_the_box_size(q_max):
         assert lemmas.verify_lp1(4).points_checked == 2
 
 
-def test_admissible_divisors_match_trial_division():
-    for min_quotient in (3, 4):
-        for total in range(1, 5001):
-            expected = [
-                u for u in range(2, total // min_quotient + 1) if total % u == 0
-            ]
-            assert lemmas._admissible_divisors(total, min_quotient) == expected, (
-                total,
-                min_quotient,
-            )
+# suite -> (kernel, offset, least quotient, v values); lp50 has s = 1, v = 3
+_KERNELS = {
+    "lp1": ("lp1_point", 2, 3, (1, 2)),
+    "lp11": ("lp11_point", 3, 4, (1, 2, 3)),
+    "lp50": ("lp50_point", 3, 4, (3,)),
+}
+
+
+def _box_points(suite, q_max):
+    """The (q, u, s, v) of a suite's box, with (q, u) by trial division."""
+    _, offset, least, vs = _KERNELS[suite]
+    for q, u in oracles.lemma_box(q_max, offset, least):
+        for s in (1,) if suite == "lp50" else range(1, u):
+            for v in vs:
+                yield q, u, s, v
+
+
+def test_kernels_are_asked_about_exactly_the_box(monkeypatch):
+    calls = {suite: [] for suite in _KERNELS}
+    for suite, (name, *_) in _KERNELS.items():
+        kernel = getattr(_backend, name)
+
+        def recorder(*point, kernel=kernel, seen=calls[suite]):
+            seen.append(point)
+            return kernel(*point)
+
+        monkeypatch.setattr(_backend, name, recorder)
+    for q_max in [*range(5, 131), 200]:
+        for suite, seen in calls.items():
+            seen.clear()
+            report = getattr(lemmas, f"verify_{suite}")(q_max, jobs=1)
+            box = list(_box_points(suite, q_max))
+            assert len(set(box)) == len(box) == report.points_checked, (suite, q_max)
+            assert sorted(seen) == sorted(box), (suite, q_max)
+
