@@ -18,8 +18,10 @@ bracket rules are verified without any square roots: the quadratic has
 positive leading coefficient, so checking strict negativity at both
 integer endpoints of a bracket covers every j inside it by convexity
 (``check_root_interval``).
-``check_fractional_claims`` verifies the exact fractional parts that make
-the floor in the inequality computable in closed form on each family.
+``check_fractional_claims`` verifies, as integer congruences, the remainders
+mod 2k + 1 that make the floor in the inequality computable in closed form
+on each family. Each suite yields lazy ``(point, holds)`` verdicts for
+``report.tally`` to count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple, Optional
 from . import rational
 from .errors import DomainError, InvariantViolation
 from .greedy import closed_form, g_func, upsilon
-from .report import VerificationReport
+from .report import VerificationReport, tally
 
 # k mod 4 -> (s_min, first j of bracket s, v for bracket s). For
 # k = 4j + residue, the bracket holding j gives v. Bracket s is
@@ -100,9 +102,9 @@ def check_s5(k: int, v: int) -> bool:
     if k < 4 or v < 1:
         raise DomainError("need k >= 4 and v >= 1")
     core = _core(k, v)
-    lhs = (Fraction(core + k) + Fraction(1, v)) / (Fraction(2 * k + 1) + Fraction(1, k * v * v))
     rhs = core // (2 * k + 1) + 1
-    return lhs > rhs
+    # the left side is kv((core + k)v + 1) / (kv^2(2k+1) + 1); clear its denominator
+    return k * v * ((core + k) * v + 1) > rhs * (k * v * v * (2 * k + 1) + 1)
 
 
 def fraction_for(k: int, v: int) -> tuple[int, int]:
@@ -191,24 +193,25 @@ def construct(k: int) -> Counterexample:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form fractional parts on the three bracket families
+# Closed-form remainders on the three bracket families
 # ---------------------------------------------------------------------------
 
 _CLAIMS = {
-    # claim id -> (residue of k mod 4, claimed fractional part at (j, s))
-    "cls1": (1, lambda j, s: Fraction(5 * j + 2 + 3 * s + (s - 2) * (s - 1) // 2, 8 * j + 3)),
-    "cls2": (2, lambda j, s: Fraction(2 * s * s + 18 * s + 4 * j + 43, 8 * j + 5)),
-    "cll5": (3, lambda j, s: Fraction(2 * s * s + 6 * s + 4 * j + 8, 8 * j + 7)),
+    # claim id -> (residue of k mod 4, claimed remainder N(j, s) of
+    # _core(k, v) mod 2k + 1, that is mod 8j + 3, 8j + 5 or 8j + 7)
+    "cls1": (1, lambda j, s: 5 * j + 2 + 3 * s + (s - 2) * (s - 1) // 2),
+    "cls2": (2, lambda j, s: 2 * s * s + 18 * s + 4 * j + 43),
+    "cll5": (3, lambda j, s: 2 * s * s + 6 * s + 4 * j + 8),
 }
 
 
 def check_fractional_claims(claim: str, j_max: int) -> VerificationReport:
-    """Verify a closed-form fractional part over its whole j range up to j_max.
+    """Verify a closed-form remainder over its whole j range up to j_max.
 
     For each j from the first bracket of the claim's residue on, with
-    k = 4j + residue and s, v picked by the bracket rule, the exact
-    fractional part of the floor argument ``_core(k, v)/(2k+1)`` of
-    ``check_s5`` must equal the claimed form.
+    k = 4j + residue and s, v picked by the bracket rule, the floor
+    argument ``_core(k, v)/(2k+1)`` of ``check_s5`` must have the claimed
+    fractional part N(j, s)/(2k+1): ``_core(k, v) % (2k+1) == N(j, s)``.
     """
     if claim not in _CLAIMS:
         raise DomainError(f"unknown claim {claim!r}; expected one of {sorted(_CLAIMS)}")
@@ -217,21 +220,14 @@ def check_fractional_claims(claim: str, j_max: int) -> VerificationReport:
     j_min = first(s_min)
     if j_max < j_min:
         raise DomainError(f"j_max must be >= {j_min} for {claim}")
-    failures = []
-    points = 0
-    for j in range(j_min, j_max + 1):
-        k = 4 * j + residue
-        s = _bracket_s(residue, j)
-        x = Fraction(_core(k, v_of(s)), 2 * k + 1)
-        points += 1
-        if x - (x.numerator // x.denominator) != claimed_of(j, s):
-            failures.append((j, s))
-    return VerificationReport(
-        lemma_id=claim,
-        range_descr=f"{j_min} <= j <= {j_max}, s by bracket rule",
-        points_checked=points,
-        failures=failures,
-    )
+
+    def verdicts():
+        for j in range(j_min, j_max + 1):
+            k = 4 * j + residue
+            s = _bracket_s(residue, j)
+            yield (j, s), _core(k, v_of(s)) % (2 * k + 1) == claimed_of(j, s)
+
+    return tally(claim, f"{j_min} <= j <= {j_max}, s by bracket rule", verdicts())
 
 
 # ---------------------------------------------------------------------------
@@ -271,32 +267,28 @@ def check_root_interval(residue_case: int, s_max: int) -> VerificationReport:
         raise DomainError("s_max must be >= 2")
     coeffs = _ROOT_COEFFS[residue_case]
     s_min, first, _ = _BRACKETS[residue_case]
-    failures = []
-    points = 0
-    for s in range(s_min, s_max + 1):
-        a, b, c = coeffs(s)
-        for j in (first(s), first(s + 1) - 1):
-            points += 1
-            if not a * j * j - b * j - c < 0:
-                failures.append((s, j))
-    return VerificationReport(
-        lemma_id=f"roots-case{residue_case}",
-        range_descr=f"{s_min} <= s <= {s_max}, both bracket endpoints",
-        points_checked=points,
-        failures=failures,
+
+    def verdicts():
+        start = first(s_min)
+        for s in range(s_min, s_max + 1):
+            a, b, c = coeffs(s)
+            end = first(s + 1)  # bracket s + 1 starts where bracket s ends
+            for j in (start, end - 1):
+                yield (s, j), a * j * j - b * j - c < 0
+            start = end
+
+    return tally(
+        f"roots-case{residue_case}",
+        f"{s_min} <= s <= {s_max}, both bracket endpoints",
+        verdicts(),
     )
 
 
 def verify_tables() -> VerificationReport:
     """check_s5 must hold at every tabulated (k, v) entry."""
-    failures = []
     entries = sorted(TABLE_1.items()) + sorted(TABLE_2.items())
-    for k, v in entries:
-        if not check_s5(k, v):
-            failures.append((k, v))
-    return VerificationReport(
-        lemma_id="tables",
-        range_descr=f"{len(entries)} tabulated (k, v) entries",
-        points_checked=len(entries),
-        failures=failures,
+    return tally(
+        "tables",
+        f"{len(entries)} tabulated (k, v) entries",
+        (((k, v), check_s5(k, v)) for k, v in entries),
     )

@@ -32,7 +32,8 @@ failures sorted, so worker count never changes output content.
 for every s >= 1: it holds except at s = 155, where both sides equal 7
 exactly; the s >= 156 tail is covered by the threshold argument checked
 symbolically (both bounding linear forms have positive slope, so
-endpoint checks at s = 156 cover the tail).
+endpoint checks at s = 156 cover the tail). The pointwise and the tail
+checks are ``(point, holds)`` verdicts counted by ``report.tally``.
 
 The brute-force sub-facts quoted inside the lemma proofs (which small
 parameter triples survive an integrality constraint) are reproduced by
@@ -47,7 +48,7 @@ from functools import partial
 from . import _backend
 from ._pool import ordered_map, worker_count
 from .errors import DomainError
-from .report import VerificationReport
+from .report import VerificationReport, tally
 
 OFFSET3_EXPECTED_EXCEPTIONS = [(17, 2), (61, 8)]
 
@@ -163,13 +164,6 @@ def verify_lp12() -> VerificationReport:
     because 192s - 29760 > 0; all three linear forms are checked at
     s = 156 and have positive slope, which covers the whole tail.
     """
-    failures: list[tuple] = []
-    points = 0
-    for s in range(1, 155):
-        points += 1
-        if not _backend.lp11_point(61, 8, s, 1):
-            failures.append((s,))
-
     observations = [
         {
             "s": 155,
@@ -179,27 +173,23 @@ def verify_lp12() -> VerificationReport:
         }
     ]
 
-    # tail argument: each linear form positive at s = 156 with positive slope
-    tail_forms = [
-        ("3s-464", 3, -464),
-        ("(8s+3)-(3s-464)", 5, 467),
-        ("192s-29760", 192, -29760),
-    ]
-    for name, slope, intercept in tail_forms:
-        points += 1
-        if not (slope > 0 and slope * 156 + intercept > 0):
-            failures.append(("tail", name))
-    tail_floor = (61 * (8 + 156)) // (8 * 156 + 3)
-    points += 1
-    if tail_floor != 7:
-        failures.append(("tail", "floor-at-156"))
+    def verdicts():
+        for s in range(1, 155):
+            yield (s,), _backend.lp11_point(61, 8, s, 1)
+        # tail argument: each linear form positive at s = 156 with positive slope
+        for name, slope, intercept in (
+            ("3s-464", 3, -464),
+            ("(8s+3)-(3s-464)", 5, 467),
+            ("192s-29760", 192, -29760),
+        ):
+            yield ("tail", name), slope > 0 and slope * 156 + intercept > 0
+        yield ("tail", "floor-at-156"), (61 * (8 + 156)) // (8 * 156 + 3) == 7
 
-    return VerificationReport(
-        lemma_id="lp12",
-        range_descr="1 <= s <= 154 pointwise; s = 155 recorded; s >= 156 by threshold argument",
-        points_checked=points,
-        failures=failures,
-        observations=observations,
+    return tally(
+        "lp12",
+        "1 <= s <= 154 pointwise; s = 155 recorded; s >= 156 by threshold argument",
+        verdicts(),
+        observations,
     )
 
 

@@ -4,14 +4,15 @@ A report records what was swept, how many points were checked, which
 points failed, and which failing points were expected going in (none by
 default). A sweep passes exactly when its failures are the expected set,
 so an expected failure that does not happen fails it too.
-Reports are deterministic: failure and observation lists are sorted, so
-identical inputs produce byte-identical serializations regardless of how
-many workers ran the sweep.
+Reports are deterministic: failure and observation lists are sorted or in
+swept order, so identical inputs produce byte-identical serializations
+regardless of how many workers ran the sweep. ``tally`` builds the report
+of a suite that yields one ``(point, holds)`` verdict per point.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class VerificationReport(NamedTuple):
@@ -37,3 +38,17 @@ class VerificationReport(NamedTuple):
             "observations": self.observations,
             "passed": self.passed,
         }
+
+
+def tally(lemma_id: str, range_descr: str, verdicts: Iterable, observations=()) -> VerificationReport:
+    """The report of ``(point, holds)`` verdicts, read once.
+
+    Every pair is a checked point, and the points that do not hold are
+    the failures, in input order; no failure is expected.
+    """
+    points = 0
+    failures = []
+    for points, (point, holds) in enumerate(verdicts, 1):
+        if not holds:
+            failures.append(point)
+    return VerificationReport(lemma_id, range_descr, points, failures, observations=observations)

@@ -118,13 +118,6 @@ def best_m_term(
     total = 0
     prefix: list[int] = []
 
-    def tick(level: int) -> None:
-        nonlocal total
-        total += 1
-        if budget is not None and total > budget:
-            raise SearchInconclusive(total, budget)
-        nodes[level - 1] += 1
-
     def descend(level: int, prev: int, s_num: int, s_den: int) -> None:
         nonlocal total, e_num, e_den
         # residual theta - s, reduced to keep intermediates small
@@ -155,7 +148,10 @@ def best_m_term(
         # keep x only while s + remaining/x can still reach the incumbent,
         # i.e. while theta - s - remaining/x <= theta - B
         while (r_num * x - remaining * r_den) * e_den <= e_num * r_den * x:
-            tick(level)
+            total += 1
+            if budget is not None and total > budget:
+                raise SearchInconclusive(total, budget)
+            nodes[level - 1] += 1
             prefix.append(x)
             descend(level + 1, x, s_num * x + s_den, s_den * x)
             prefix.pop()

@@ -18,6 +18,8 @@ the inequality multiplied out on its own, and ``lemma_box`` walks the
 (q, u) of their sweeps by trial division. ``select_v`` is the choice of v
 in the counterexample construction, with each bracket found in closed
 form by an integer square root instead of by walking the brackets.
+``claimed_fractional_part`` and ``s5_holds`` are the counterexample
+checks as the paper states them, in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -264,3 +266,36 @@ def select_v(k: int) -> tuple[int, Optional[int]]:
         return _V_TABLE_K3[k], None
     s = (isqrt(4 * j + 1) - 1) // 2
     return 4 * s + 8, s
+
+
+# claim id -> (residue of k mod 4, claimed fractional part of
+# k(kv+1)((k+1)v-1)/(2k+1) at (j, s)), as first written
+_CLAIMED_FRACTIONAL_PARTS = {
+    "cls1": (1, lambda j, s: Fraction(5 * j + 2 + 3 * s + (s - 2) * (s - 1) // 2, 8 * j + 3)),
+    "cls2": (2, lambda j, s: Fraction(2 * s * s + 18 * s + 4 * j + 43, 8 * j + 5)),
+    "cll5": (3, lambda j, s: Fraction(2 * s * s + 6 * s + 4 * j + 8, 8 * j + 7)),
+}
+
+
+def claimed_fractional_part(claim: str, j: int) -> tuple[int, Fraction, Fraction]:
+    """(s, claimed, actual) fractional part for the claim at j.
+
+    k = 4j + residue, (v, s) from ``select_v``; actual is the fractional
+    part of k(kv+1)((k+1)v-1)/(2k+1) in Fraction arithmetic.
+    """
+    residue, claimed_of = _CLAIMED_FRACTIONAL_PARTS[claim]
+    k = 4 * j + residue
+    v, s = select_v(k)
+    x = Fraction(k * (k * v + 1) * ((k + 1) * v - 1), 2 * k + 1)
+    return s, claimed_of(j, s), x - (x.numerator // x.denominator)
+
+
+def s5_holds(k: int, v: int) -> bool:
+    """The suitability inequality as the paper writes it:
+
+    (k(kv+1)((k+1)v-1) + k + 1/v) / (2k+1 + 1/(kv^2))
+        > floor(k(kv+1)((k+1)v-1) / (2k+1)) + 1.
+    """
+    core = k * (k * v + 1) * ((k + 1) * v - 1)
+    lhs = (core + k + Fraction(1, v)) / (2 * k + 1 + Fraction(1, k * v * v))
+    return lhs > core // (2 * k + 1) + 1

@@ -132,6 +132,115 @@ def test_best_searches_decided_since_the_reference_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _BEST_SHA256[argv]
 
 
+# Exit code and sha256 of stdout and stderr of outputs that no argv of the
+# benchmark reference covers, recorded before the finite suites were built on
+# report.tally and the counterexample checks moved to integers.
+_PINNED_SHA256 = {
+    "--format json verify lp12": (
+        0,
+        "3ac89f98b9c081c2e232c8d5f3a54edc3d13e437fb5e6638aae7571880cdb445",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format json verify tables": (
+        0,
+        "b890519afa7a38ed7a8703d9e32b205b9723ca1d44a357fd357156dae7aff975",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format json verify roots --s-max 57": (
+        0,
+        "943e40205aa1092afc3a0dc64ad7bb234564ca99de2b290d051c970837098695",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format json verify claims --j-max 500": (
+        0,
+        "37bafbbe3e0ffb4a3eafa8d60b5211a4e1f5e943ae2ec31f64abdbbfd2b127f8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format json construct 4": (
+        0,
+        "50c0df1fd9224e512631c66a56640152b4392e9f2b45043a8c6eac2123afaacb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format json construct 47": (
+        0,
+        "0b026899a751704b772343b05ddc2f878bad786928c1c0146ff64823e3e3b47e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format json construct 10000000000000001": (
+        0,
+        "5294729506cf13672f5ce64d1d01c3e72f9722e5db78e90fe48a0b2b2567e5df",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format plain verify lp12": (
+        0,
+        "666dbb8d47b72da45236fcc275b4d5bedfd2c2d617410d384a8b2f6cae8123d3",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format plain verify tables": (
+        0,
+        "df40142d3c5c3af56b790bb6b2310c124b877e40f79be06791f9ffd2cb9c1820",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format plain verify roots --s-max 57": (
+        0,
+        "f05fed11ba3af8cfe72455c5559cabf75a311909db05b97185065f24ffbed8b5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format plain verify claims --j-max 500": (
+        0,
+        "61d64c9a3bfab433ef7ff79514c3d6b125a4e9ffa26d914633c5f83236f62c38",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format plain construct 4": (
+        0,
+        "54b41193030f9bc5c0fb3fcca4c6c2e5d8cfc1718048b3b3182325b46a6df626",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format plain construct 47": (
+        0,
+        "d3f5f82d8a07a5146d1d36cc036aa1712774a72141b4d705a71b8fc576957737",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format plain construct 10000000000000001": (
+        0,
+        "cf3cfe82f29dd27d45e3fb91e26bef1ddaeb2d31d0f1ec6c23eede0a5a67685a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify claims --j-max 11": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "cfd46cde7aec78879af524276519d616eac42072b6534c645bcd7af72699a9bb",
+    ),
+    "--format plain expand 9 28 --m 9": (
+        0,
+        "b7097f824501440274e3a2df75d33a8095f494b8b386246bdbe038b1343ecb3b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format plain best 10 17 --m 2": (
+        0,
+        "497b492c56d21ed99fa36df19c0095d24666fd0f37a0d70f2b89d689005f210f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format plain step 1 7 --m 1 --n 2": (
+        0,
+        "7f779029b715bfd1efc26e9b0bfdc17f89bd613bf5bd529f1a87c19431cb3b60",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "--format plain upsilon 7 54": (
+        0,
+        "52a971f82dc0b7ad964748ec0201ea057c0656b05b2585331380561e4d6c921c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_SHA256))
+def test_outputs_outside_the_benchmark_reference_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    assert (code, *digests) == _PINNED_SHA256[argv]
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_best_budget_below_one_is_a_domain_error(capsys, budget):
     code, out, err = run_cli(capsys, "best", "10", "17", "--m", "2", "--budget", budget)

@@ -12,6 +12,7 @@ import pytest
 from egfrac import counterexamples as ce
 from egfrac import cli, greedy, underapprox
 from egfrac.errors import DomainError, InvariantViolation
+from oracles import claimed_fractional_part, s5_holds
 from oracles import select_v as oracle_select_v
 
 
@@ -185,3 +186,69 @@ def test_root_interval_spot_endpoints():
     # case k = 4j+2 at s = 0: negative at j = 12 and j = 19
     assert 320 * 144 - 6048 * 12 - 3108 < 0
     assert 320 * 361 - 6048 * 19 - 3108 < 0
+
+
+@pytest.mark.parametrize("claim", ["cls1", "cls2", "cll5"])
+def test_claimed_remainders_are_the_fractional_parts_over_2k_plus_1(claim):
+    residue, remainder_of = ce._CLAIMS[claim]
+    s_min, first, _ = ce._BRACKETS[residue]
+    for j in range(first(s_min), 3001):
+        s, claimed, actual = claimed_fractional_part(claim, j)
+        assert claimed == actual, (claim, j)
+        assert remainder_of(j, s) == claimed * (8 * j + 2 * residue + 1), (claim, j)
+
+
+def test_check_s5_agrees_with_the_fraction_quotient():
+    for k in range(4, 301):
+        for v in range(1, 61):
+            assert ce.check_s5(k, v) == s5_holds(k, v), (k, v)
+    for k, v in list(ce.TABLE_1.items()) + list(ce.TABLE_2.items()):
+        assert ce.check_s5(k, v) and s5_holds(k, v), (k, v)
+    for k in (10**16 + 1, 10**30 + 3, 4 * 10**20 + 2):
+        v, _ = ce.select_v(k)
+        assert ce.check_s5(k, v) and s5_holds(k, v), k
+        assert ce.check_s5(k, v + 10**6) == s5_holds(k, v + 10**6), k
+
+
+def _plain_verify(capsys, *argv):
+    code = cli.main(["--format", "plain", "verify", *argv])
+    return code, capsys.readouterr().out
+
+
+def test_an_off_by_one_claim_fails_at_every_j(capsys, monkeypatch):
+    residue, remainder_of = ce._CLAIMS["cls2"]
+    monkeypatch.setitem(ce._CLAIMS, "cls2", (residue, lambda j, s: remainder_of(j, s) + 1))
+    report = ce.check_fractional_claims("cls2", 40)
+    assert report.failures == [(j, ce._bracket_s(2, j)) for j in range(12, 41)]
+    assert report.points_checked == 29 and not report.passed
+    code, out = _plain_verify(capsys, "claims", "--j-max", "40")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert "FAIL cls2: 29 points, 29 failure(s)" in out
+    assert "  failure at (12, 0)\n" in out and "  failure at (40, 2)\n" in out
+    assert "PASS cls1" in out and "PASS cll5" in out
+
+
+def test_a_negated_root_quadratic_fails_at_every_endpoint(capsys, monkeypatch):
+    coeffs = ce._ROOT_COEFFS[3]
+    monkeypatch.setitem(ce._ROOT_COEFFS, 3, lambda s: tuple(-c for c in coeffs(s)))
+    report = ce.check_root_interval(3, 9)
+    _, first, _ = ce._BRACKETS[3]
+    assert report.failures == [
+        (s, j) for s in range(2, 10) for j in (first(s), first(s + 1) - 1)
+    ]
+    assert report.points_checked == 16
+    code, out = _plain_verify(capsys, "roots", "--s-max", "9")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert "FAIL roots-case3: 16 points, 16 failure(s)" in out
+    assert "PASS roots-case1" in out and "PASS roots-case2" in out
+
+
+def test_a_failing_table_entry_is_reported(capsys, monkeypatch):
+    real = ce.check_s5
+    monkeypatch.setattr(ce, "check_s5", lambda k, v: (k, v) != (6, 8) and real(k, v))
+    report = ce.verify_tables()
+    assert report.failures == [(6, 8)] and report.points_checked == 16
+    code = cli.main(["verify", "tables"])
+    assert code == cli.EXIT_VERIFY_FAILED
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == [[6, 8]] and payload["passed"] is False

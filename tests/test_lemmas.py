@@ -1,5 +1,6 @@
 """Floor-inequality sweeps, their exceptional points, and proof sub-facts."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -307,3 +308,15 @@ def test_kernels_are_asked_about_exactly_the_box(monkeypatch):
             assert len(set(box)) == len(box) == report.points_checked, (suite, q_max)
             assert sorted(seen) == sorted(box), (suite, q_max)
 
+
+
+def test_a_failing_lp12_point_is_reported(capsys, monkeypatch):
+    real = _backend.lp11_point
+    monkeypatch.setattr(_backend, "lp11_point", lambda q, u, s, v: s != 7 and real(q, u, s, v))
+    report = lemmas.verify_lp12()
+    assert report.failures == [(7,)] and report.points_checked == 158
+    assert [(o["s"], o["holds"]) for o in report.observations] == [(155, False)]
+    code = cli.main(["verify", "lp12"])
+    assert code == cli.EXIT_VERIFY_FAILED
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == [[7]] and payload["passed"] is False
