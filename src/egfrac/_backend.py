@@ -7,7 +7,10 @@ lp1, lp11, lp12 and lp50 are one floor inequality with offset c (2 for
 lp1, 3 for the others), written once in ``_offset_point``; one lemma
 point is one ``lp*_point`` call (lp12 is ``lp11_point`` at q = 61,
 u = 8, v = 1), and ``_offset_tie(c, ...)`` decides, at the few points
-where a kernel fails, whether the two sides are equal.
+where a kernel fails, whether the two sides are equal. The kernels take
+a point in the box coordinates of the sweeps: the quotient k with
+q + c = k*u, and t = q*u + v. Since s(q + c) + cu = u(sk + c), u cancels
+from the floor side, which becomes floor(q(u + s)/(sk + c)).
 Everything here is integer-only (floors via integer division,
 comparisons via cross-multiplication), so a sweep over millions of
 points never allocates a Fraction, and every function is exact for
@@ -108,18 +111,22 @@ def two_term_scan(
 def _offset_point(c: int):
     """The point check of the divisor-offset-c floor inequality.
 
-    The returned ``point(q, u, s, v)`` decides
+    The returned ``point(q, k, u, s, t)`` decides
 
         floor(q*u*(u+s) / (s*(q+c) + c*u)) > (qu+v)*u*(u+s) / (squ+vs+cu(u+s)) - 1
 
-    exactly, by cross-multiplication. With b = u(u+s) and t = qu+v the
-    right side is t*b / (s*t + c*b), so both products are formed once.
+    exactly, by cross-multiplication, at the point (q, u, s, v) given in
+    box coordinates: q + c = k*u for an integer k >= 1, and t = q*u + v.
+    There s*(q+c) + c*u = s*k*u + c*u = u*(s*k + c), so u cancels from
+    the floor side, which is floor(q*(u+s) / (s*k + c)). With
+    b = u(u+s) the right side is t*b / (s*t + c*b). The domain is not
+    checked: off the lattice q + c = k*u the verdict is not the lemma's.
     """
 
-    def point(q: int, u: int, s: int, v: int) -> bool:
-        b = u * (u + s)
-        t = q * u + v
-        lhs = q * b // (s * (q + c) + c * u)
+    def point(q: int, k: int, u: int, s: int, t: int) -> bool:
+        w = u + s
+        b = u * w
+        lhs = q * w // (s * k + c)
         return (lhs + 1) * (s * t + c * b) > t * b
 
     return point
@@ -129,7 +136,8 @@ def _offset_tie(c: int, q: int, u: int, s: int, v: int) -> bool:
     """True when the two sides of the offset-c inequality agree exactly.
 
     Private, so it is not counted as a kernel: it runs only at the points
-    where an ``lp*_point`` kernel fails.
+    where an ``lp*_point`` kernel fails, so it takes the point as
+    (q, u, s, v) and keeps u in the floor side.
     """
     b = u * (u + s)
     t = q * u + v

@@ -212,6 +212,9 @@ def check_fractional_claims(claim: str, j_max: int) -> VerificationReport:
     k = 4j + residue and s, v picked by the bracket rule, the floor
     argument ``_core(k, v)/(2k+1)`` of ``check_s5`` must have the claimed
     fractional part N(j, s)/(2k+1): ``_core(k, v) % (2k+1) == N(j, s)``.
+    Consecutive j share a bracket, so s is walked forward as j grows
+    rather than searched for at each j; that j lies in bracket s,
+    first(s) <= j < first(s + 1), is still checked at every j.
     """
     if claim not in _CLAIMS:
         raise DomainError(f"unknown claim {claim!r}; expected one of {sorted(_CLAIMS)}")
@@ -222,9 +225,13 @@ def check_fractional_claims(claim: str, j_max: int) -> VerificationReport:
         raise DomainError(f"j_max must be >= {j_min} for {claim}")
 
     def verdicts():
+        s = s_min
         for j in range(j_min, j_max + 1):
+            while first(s + 1) <= j:
+                s += 1
+            if not first(s) <= j < first(s + 1):
+                raise InvariantViolation(f"bracket rule misses j = {j}")
             k = 4 * j + residue
-            s = _bracket_s(residue, j)
             yield (j, s), _core(k, v_of(s)) % (2 * k + 1) == claimed_of(j, s)
 
     return tally(claim, f"{j_min} <= j <= {j_max}, s by bracket rule", verdicts())

@@ -23,8 +23,11 @@ regression that "fixes" an exceptional point fails the sweep.
 Each box point is one ``_backend`` kernel call, looked up from
 ``_backend`` when a u is scanned, so call counts equal the points
 checked. The box is walked in (u, k) coordinates: for each u the q are
-least*u - c, then every u-th q up to q_max, and the points are counted
-per u as len(qs) * len(vs) * len(ss). With ``jobs > 1`` the u-range is
+q = k*u - c for k = least, least + 1, ... up to q_max, and the points
+are counted per u as len(qs) * len(vs) * len(ss). A kernel is called
+with (q, k, u, s, t), where q + c = k*u and t = q*u + v: t is formed
+once per (q, v), not once per s, and the kernel's floor side uses
+s(q + c) + cu = u(sk + c) to cancel u. With ``jobs > 1`` the u-range is
 split across workers; per-u results are added up as they arrive and the
 failures sorted, so worker count never changes output content.
 
@@ -70,16 +73,18 @@ def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, i
     The q of u are q = k*u - c for k >= the least quotient, up to q_max.
     s is the inner loop, over the longer range: one loop setup per v
     rather than per s makes the scan as fast as calls written out per v.
+    The kernel gets each point as (q, k, u, s, t) with t = q*u + v.
     """
     name, c, least, s_values, vs, _ = _BOXES[lemma]
     point = getattr(_backend, name)
     qs = range(least * u - c, q_max + 1, u)
     ss = range(1, u) if s_values is None else s_values
     failures = []
-    for q in qs:
+    for k, q in enumerate(qs, least):
         for v in vs:
+            t = q * u + v
             for s in ss:
-                if not point(q, u, s, v):
+                if not point(q, k, u, s, t):
                     failures.append((q, u, s, v))
     return len(qs) * len(vs) * len(ss), failures
 
@@ -154,7 +159,8 @@ def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
 
 def verify_lp12() -> VerificationReport:
     """Verify floor(61(8+s)/(8s+3)) > 3912(8+s)/(513s+192) - 1 for every
-    s >= 1 except s = 155: ``lp11_point`` at (q, u, v) = (61, 8, 1).
+    s >= 1 except s = 155: ``lp11_point`` at (q, u, v) = (61, 8, 1),
+    that is at k = (61 + 3)/8 = 8 and t = 61*8 + 1 = 489.
 
     Points 1 <= s <= 154 are checked exactly. At s = 155 both sides equal
     7 and the strict inequality fails; the verdict is recorded as an
@@ -167,7 +173,7 @@ def verify_lp12() -> VerificationReport:
     observations = [
         {
             "s": 155,
-            "holds": _backend.lp11_point(61, 8, 155, 1),
+            "holds": _backend.lp11_point(61, 8, 8, 155, 489),
             "equality": _backend._offset_tie(3, 61, 8, 155, 1),
             "floor_value": (61 * (8 + 155)) // (8 * 155 + 3),
         }
@@ -175,7 +181,7 @@ def verify_lp12() -> VerificationReport:
 
     def verdicts():
         for s in range(1, 155):
-            yield (s,), _backend.lp11_point(61, 8, s, 1)
+            yield (s,), _backend.lp11_point(61, 8, 8, s, 489)
         # tail argument: each linear form positive at s = 156 with positive slope
         for name, slope, intercept in (
             ("3s-464", 3, -464),

@@ -228,6 +228,16 @@ def test_an_off_by_one_claim_fails_at_every_j(capsys, monkeypatch):
     assert "PASS cls1" in out and "PASS cll5" in out
 
 
+@pytest.mark.parametrize("claim", ["cls1", "cls2", "cll5"])
+def test_the_walked_bracket_is_the_searched_one(monkeypatch, claim):
+    # a claim that fails everywhere reports every (j, s) the walk reached
+    residue, _ = ce._CLAIMS[claim]
+    monkeypatch.setitem(ce._CLAIMS, claim, (residue, lambda j, s: -1))
+    report = ce.check_fractional_claims(claim, 5000)
+    s_min, first, _ = ce._BRACKETS[residue]
+    assert report.failures == [(j, ce._bracket_s(residue, j)) for j in range(first(s_min), 5001)]
+
+
 def test_a_negated_root_quadratic_fails_at_every_endpoint(capsys, monkeypatch):
     coeffs = ce._ROOT_COEFFS[3]
     monkeypatch.setitem(ce._ROOT_COEFFS, 3, lambda s: tuple(-c for c in coeffs(s)))

@@ -1,6 +1,7 @@
 """Floor-inequality sweeps, their exceptional points, and proof sub-facts."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,13 @@ from egfrac import _backend, cli, lemmas
 from egfrac._backend import lp1_point, lp11_point, lp50_point
 from egfrac.errors import DomainError
 import oracles
+
+
+def _at(c, q, u, s, v):
+    """The box coordinates (q, k, u, s, t) of the lemma point (q, u, s, v)."""
+    k, r = divmod(q + c, u)
+    assert r == 0, (c, q, u)
+    return q, k, u, s, q * u + v
 
 
 def test_lp1_sweep_clean():
@@ -21,8 +29,8 @@ def test_lp1_sweep_clean():
 
 def test_lp1_smallest_admissible_point():
     # q = 4, u = 2 gives (q+2)/u = 3; the single admissible (s, v) box point
-    assert lp1_point(4, 2, 1, 1)
-    assert lp1_point(4, 2, 1, 2)
+    assert lp1_point(*_at(2, 4, 2, 1, 1))
+    assert lp1_point(*_at(2, 4, 2, 1, 2))
 
 
 def test_lp11_sweep_fails_only_at_known_pairs():
@@ -36,11 +44,11 @@ def test_lp11_sweep_fails_only_at_known_pairs():
 
 def test_lp11_points_hold_elsewhere_at_exceptional_q():
     # at q = 17, u = 2 the v = 1 point still holds
-    assert lp11_point(17, 2, 1, 1)
-    assert not lp11_point(17, 2, 1, 2)
-    assert not lp11_point(17, 2, 1, 3)
-    assert not lp11_point(61, 8, 1, 3)
-    assert lp11_point(61, 8, 1, 2)
+    assert lp11_point(*_at(3, 17, 2, 1, 1))
+    assert not lp11_point(*_at(3, 17, 2, 1, 2))
+    assert not lp11_point(*_at(3, 17, 2, 1, 3))
+    assert not lp11_point(*_at(3, 61, 8, 1, 3))
+    assert lp11_point(*_at(3, 61, 8, 1, 2))
 
 
 def test_lp50_sweep_and_spot_points():
@@ -48,8 +56,8 @@ def test_lp50_sweep_and_spot_points():
     assert report.passed
     assert report.failures == [(17, 2), (61, 8)]
     assert all(not o["equality"] for o in report.observations)
-    assert lp50_point(13, 4, 1, 3)
-    assert not lp50_point(17, 2, 1, 3)
+    assert lp50_point(*_at(3, 13, 4, 1, 3))
+    assert not lp50_point(*_at(3, 17, 2, 1, 3))
 
 
 def _lp50_tie_by_fractions(q, u):
@@ -90,10 +98,10 @@ def test_lp12_report():
 def test_lp12_spot_points():
     # s = 1: floor(61*9/11) = 49 against 3912*9/705 - 1 (just below 49)
     assert (61 * 9) // 11 == 49
-    assert lp11_point(61, 8, 1, 1)
-    assert not lp11_point(61, 8, 155, 1)
-    assert lp11_point(61, 8, 156, 1)
-    assert lp11_point(61, 8, 10**7, 1)
+    assert lp11_point(*_at(3, 61, 8, 1, 1))
+    assert not lp11_point(*_at(3, 61, 8, 155, 1))
+    assert lp11_point(*_at(3, 61, 8, 156, 1))
+    assert lp11_point(*_at(3, 61, 8, 10**7, 1))
 
 
 def test_lp12_is_the_offset3_inequality_at_61_8_1():
@@ -101,7 +109,7 @@ def test_lp12_is_the_offset3_inequality_at_61_8_1():
     # at every s, failing and tying only at s = 155
     failing = []
     for s in range(1, 20_000):
-        holds = lp11_point(61, 8, s, 1)
+        holds = lp11_point(*_at(3, 61, 8, s, 1))
         assert holds == oracles.lp12_point(s), s
         assert _backend._offset_tie(3, 61, 8, s, 1) == oracles.lp12_is_tie(s), s
         if not holds:
@@ -119,10 +127,11 @@ def test_lp12_is_the_offset3_inequality_at_61_8_1():
     ],
 )
 def test_a_failing_point_is_reported_by_its_q_u(capsys, monkeypatch, suite, point, keys):
-    name = lemmas._BOXES[suite][0]
+    name, c = lemmas._BOXES[suite][:2]
     kernel = getattr(_backend, name)
-    assert kernel(*point)
-    monkeypatch.setattr(_backend, name, lambda *p: p != point and kernel(*p))
+    at = _at(c, *point)
+    assert kernel(*at)
+    monkeypatch.setattr(_backend, name, lambda *p: p != at and kernel(*p))
     q, u = point[:2]
     report = getattr(lemmas, f"verify_{suite}")(q)
     assert report.failures == [(q, u)] and not report.passed
@@ -147,7 +156,7 @@ def test_a_kernel_that_holds_at_an_expected_failure_fails_the_sweep(
     if holds_at == "everywhere":
         monkeypatch.setattr(_backend, name, lambda *p: True)
     else:
-        monkeypatch.setattr(_backend, name, lambda *p: p[:2] == (17, 2) or kernel(*p))
+        monkeypatch.setattr(_backend, name, lambda *p: (p[0], p[2]) == (17, 2) or kernel(*p))
     assert not getattr(lemmas, f"verify_{suite}")(100).passed
     code = cli.main(["--format", "plain", "verify", suite, "--q-max", "100"])
     assert code == cli.EXIT_VERIFY_FAILED
@@ -218,41 +227,70 @@ def _offset2_tie_by_fractions(q, u, s, v):
 
 
 def test_kernels_match_the_unshared_formulas():
-    # the kernels share b = u(u+s) and t = qu+v between the two sides
+    # the kernels cancel u from the floor side and share b = u(u+s) and
+    # t = qu+v between the two sides
     verdicts = set()
     for q, u in oracles.lemma_box(400, 2, 3):
         for s in range(1, u):
             for v in (1, 2):
-                assert lp1_point(q, u, s, v) == oracles.lp1_point(q, u, s, v), (q, u, s, v)
+                point = (q, u, s, v)
+                assert lp1_point(*_at(2, *point)) == oracles.lp1_point(*point), point
     for q, u in oracles.lemma_box(400, 3, 4):
-        assert lp50_point(q, u, 1, 3) == oracles.lp50_point(q, u), (q, u)
+        assert lp50_point(*_at(3, q, u, 1, 3)) == oracles.lp50_point(q, u), (q, u)
         for s in range(1, u):
             for v in (1, 2, 3):
                 point = (q, u, s, v)
-                verdicts.add(lp11_point(*point))
-                assert lp11_point(*point) == oracles.lp11_point(*point), point
+                verdicts.add(lp11_point(*_at(3, *point)))
+                assert lp11_point(*_at(3, *point)) == oracles.lp11_point(*point), point
                 assert _backend._offset_tie(3, *point) == oracles.lp11_is_tie(*point), point
     assert verdicts == {True, False}  # the box holds the failures at (17, 2) and (61, 8)
-    # off the boxes, where the inequalities fail and tie far more often
+    # off the boxes, where the inequalities fail and tie far more often: the
+    # kernels on the lattice q = k*u - c for every k >= 1, the ties anywhere
     verdicts = {True: 0, False: 0}
-    ties = offset2_ties = 0
+    ties = lattice_ties = offset2_ties = 0
     for q in range(1, 61):
         for u in range(1, 25):
             for s in range(1, u + 3):
-                for v in range(1, 5):
+                for v in range(1, 9):
                     point = (q, u, s, v)
-                    assert lp1_point(*point) == oracles.lp1_point(*point), point
-                    assert lp11_point(*point) == oracles.lp11_point(*point), point
+                    if (q + 2) % u == 0:
+                        assert lp1_point(*_at(2, *point)) == oracles.lp1_point(*point), point
+                    if (q + 3) % u == 0:
+                        holds = lp11_point(*_at(3, *point))
+                        assert holds == oracles.lp11_point(*point), point
+                        verdicts[holds] += 1
+                        lattice_ties += oracles.lp11_is_tie(*point)
+                    if v > 4:
+                        continue
                     tie = _backend._offset_tie(3, *point)
                     assert tie == oracles.lp11_is_tie(*point), point
-                    verdicts[lp11_point(*point)] += 1
                     ties += tie
                     tie = _backend._offset_tie(2, *point)
                     assert tie == _offset2_tie_by_fractions(*point), point
                     offset2_ties += tie
         for u in range(1, 100):
-            assert lp50_point(q, u, 1, 3) == oracles.lp50_point(q, u), (q, u)
-    assert min(verdicts.values()) > 1000 and ties > 10 and offset2_ties > 100
+            if (q + 3) % u == 0:
+                assert lp50_point(*_at(3, q, u, 1, 3)) == oracles.lp50_point(q, u), (q, u)
+    assert min(verdicts.values()) > 1000 and lattice_ties > 10
+    assert ties > 10 and offset2_ties > 100
+
+
+def test_kernels_are_exact_at_large_box_points():
+    # u up to 10**6 and k up to 10**9, at every scale: products far past
+    # 64 bits, against the formulas with u left in the floor side
+    rng = random.Random(20231105)
+    for _ in range(4000):
+        u = rng.randint(2, 10 ** rng.randint(1, 6))
+        s = rng.randint(1, u - 1)
+        for c, least, kernel, oracle, vs in (
+            (2, 3, lp1_point, oracles.lp1_point, (1, 2)),
+            (3, 4, lp11_point, oracles.lp11_point, (1, 2, 3)),
+        ):
+            k = rng.randint(least, 10 ** rng.randint(1, 9))
+            q = k * u - c
+            for v in vs:
+                point = (q, u, s, v)
+                assert kernel(*_at(c, *point)) == oracle(*point), (c, point)
 
 
 @pytest.mark.parametrize("q_max", [5, 17, 61, 200])
@@ -292,11 +330,13 @@ def _box_points(suite, q_max):
 
 def test_kernels_are_asked_about_exactly_the_box(monkeypatch):
     calls = {suite: [] for suite in _KERNELS}
-    for suite, (name, *_) in _KERNELS.items():
+    for suite, (name, offset, *_) in _KERNELS.items():
         kernel = getattr(_backend, name)
 
-        def recorder(*point, kernel=kernel, seen=calls[suite]):
-            seen.append(point)
+        def recorder(*point, kernel=kernel, seen=calls[suite], c=offset):
+            q, k, u, s, t = point
+            assert q + c == k * u, point
+            seen.append((q, u, s, t - q * u))
             return kernel(*point)
 
         monkeypatch.setattr(_backend, name, recorder)
@@ -312,7 +352,9 @@ def test_kernels_are_asked_about_exactly_the_box(monkeypatch):
 
 def test_a_failing_lp12_point_is_reported(capsys, monkeypatch):
     real = _backend.lp11_point
-    monkeypatch.setattr(_backend, "lp11_point", lambda q, u, s, v: s != 7 and real(q, u, s, v))
+    monkeypatch.setattr(
+        _backend, "lp11_point", lambda q, k, u, s, t: s != 7 and real(q, k, u, s, t)
+    )
     report = lemmas.verify_lp12()
     assert report.failures == [(7,)] and report.points_checked == 158
     assert [(o["s"], o["holds"]) for o in report.observations] == [(155, False)]
