@@ -10,6 +10,8 @@ Exit codes (stable API): 0 ok, 2 domain error, 3 digit guard exceeded,
 4 search inconclusive, 5 verification failure, 6 invariant violation (a
 proved identity failed: a bug, reported in one stderr line), 141 stdout
 closed by its reader before the output was written (nothing on stderr).
+A format a command does not declare, and a flag that a ``verify`` suite
+does not read (see ``SUITES``), are domain errors raised before any work.
 
 The tables, ``verify threshold`` and ``phi-samples`` in csv or json, are
 written through one generator, ``_written``, in batches of fixed layouts
@@ -24,7 +26,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack, closing
+from collections import namedtuple
+from contextlib import closing
 from fractions import Fraction
 from math import gcd
 
@@ -68,6 +71,15 @@ def _emit_plain(lines) -> None:
         print(line)
 
 
+def _emit(fmt, payload, plain_lines) -> int:
+    """Write ``payload`` as json, or in plain format the lines ``plain_lines()`` returns."""
+    if fmt == "plain":
+        _emit_plain(plain_lines())
+    else:
+        _emit_json(payload)
+    return EXIT_OK
+
+
 def cmd_expand(args) -> int:
     p, q = _reduced(args.p, args.q)
     guard = None if args.no_guard else args.digit_guard
@@ -75,18 +87,12 @@ def cmd_expand(args) -> int:
     profile = greedy.upsilon_profile(p, q)
     payload = exp.to_json_dict()
     payload.update({"p": p, "q": q, "ell": profile.ell, "delta": profile.delta})
-    if args.format == "plain":
-        _emit_plain(
-            [
-                f"theta = {p}/{q}  (ell = {profile.ell}, delta = {profile.delta})",
-                "terms: " + " ".join(str(t) for t in exp.terms),
-                f"error = {exp.error}",
-                f"recurrence_start = {exp.recurrence_start}",
-            ]
-        )
-    else:
-        _emit_json(payload)
-    return EXIT_OK
+    return _emit(args.format, payload, lambda: [
+        f"theta = {p}/{q}  (ell = {profile.ell}, delta = {profile.delta})",
+        "terms: " + " ".join(str(t) for t in exp.terms),
+        f"error = {exp.error}",
+        f"recurrence_start = {exp.recurrence_start}",
+    ])
 
 
 def cmd_best(args) -> int:
@@ -94,19 +100,12 @@ def cmd_best(args) -> int:
     result = underapprox.best_m_term(
         Fraction(p, q), args.m, budget=args.budget, digit_guard=DEFAULT_DIGIT_GUARD
     )
-    if args.format == "plain":
-        tuples = ", ".join(str(t) for t in result.optimal_tuples)
-        _emit_plain(
-            [
-                f"theta = {p}/{q}, m = {result.m}",
-                f"greedy = {tuple(result.greedy_terms)} sum {result.greedy_sum}",
-                f"optimal sum {result.optimal_sum}: {tuples}",
-                f"greedy_is_best = {result.greedy_is_best}, unique = {result.unique}",
-            ]
-        )
-    else:
-        _emit_json(result.to_json_dict())
-    return EXIT_OK
+    return _emit(args.format, result.to_json_dict(), lambda: [
+        f"theta = {p}/{q}, m = {result.m}",
+        f"greedy = {tuple(result.greedy_terms)} sum {result.greedy_sum}",
+        f"optimal sum {result.optimal_sum}: " + ", ".join(str(t) for t in result.optimal_tuples),
+        f"greedy_is_best = {result.greedy_is_best}, unique = {result.unique}",
+    ])
 
 
 def cmd_step(args) -> int:
@@ -114,47 +113,29 @@ def cmd_step(args) -> int:
     report = greedy.step_report(
         Fraction(p, q), args.m, args.n, digit_guard=DEFAULT_DIGIT_GUARD
     )
-    if args.format == "plain":
-        _emit_plain(
-            [
-                f"theta = {p}/{q}, m = {report.m}, n = {report.n}",
-                f"a_m = {report.a_m}, b_m = {report.b_m}, phi = {report.phi_value}",
-                f"conditions hold: {report.holds}",
-            ]
-        )
-    else:
-        _emit_json(report.to_json_dict())
-    return EXIT_OK
+    return _emit(args.format, report.to_json_dict(), lambda: [
+        f"theta = {p}/{q}, m = {report.m}, n = {report.n}",
+        f"a_m = {report.a_m}, b_m = {report.b_m}, phi = {report.phi_value}",
+        f"conditions hold: {report.holds}",
+    ])
 
 
 def cmd_upsilon(args) -> int:
     profile = greedy.upsilon_profile(args.p, args.q)
-    if args.format == "plain":
-        _emit_plain(
-            [
-                f"p/q = {profile.p}/{profile.q}",
-                f"upsilon = {profile.upsilon}, ell = {profile.ell}, "
-                f"delta = {profile.delta}, family = {profile.family}",
-            ]
-        )
-    else:
-        _emit_json(profile.to_json_dict())
-    return EXIT_OK
+    return _emit(args.format, profile.to_json_dict(), lambda: [
+        f"p/q = {profile.p}/{profile.q}",
+        f"upsilon = {profile.upsilon}, ell = {profile.ell}, "
+        f"delta = {profile.delta}, family = {profile.family}",
+    ])
 
 
 def cmd_construct(args) -> int:
     ce = counterexamples.construct(args.k)
-    if args.format == "plain":
-        _emit_plain(
-            [
-                f"k = {ce.k}: p/q = {ce.p}/{ce.q} (v = {ce.v}, s = {ce.s})",
-                f"greedy pair {ce.greedy_pair} beaten by {ce.beating_pair}",
-                f"margin = {ce.margin}",
-            ]
-        )
-    else:
-        _emit_json(ce.to_json_dict())
-    return EXIT_OK
+    return _emit(args.format, ce.to_json_dict(), lambda: [
+        f"k = {ce.k}: p/q = {ce.p}/{ce.q} (v = {ce.v}, s = {ce.s})",
+        f"greedy pair {ce.greedy_pair} beaten by {ce.beating_pair}",
+        f"margin = {ce.margin}",
+    ])
 
 
 def _written(rows, encode, write, sep=""):
@@ -306,56 +287,79 @@ def _emit_threshold_json(report, spool) -> None:
         write("\n  ")
     write(f'],\n  "passed": {_JSON_BOOL[passed]},\n  "rows": [')
     spool.seek(0)
-    for chunk in iter(lambda: spool.read(1 << 20), b""):
-        write(chunk.decode("ascii"))
+    for chunk in iter(lambda: spool.read(1 << 20), ""):
+        write(chunk)
     write("\n  ]\n}\n")
 
 
-def cmd_verify(args) -> int:
-    suite = args.suite
-    jobs = worker_count(args.jobs)  # rejected for every suite, not only sweeps
-    reports = []
-    if suite == "lp1":
-        reports.append(lemmas.verify_lp1(args.q_max, jobs=jobs))
-    elif suite == "lp11":
-        reports.append(lemmas.verify_lp11(args.q_max, jobs=jobs))
-    elif suite == "lp12":
-        reports.append(lemmas.verify_lp12())
-    elif suite == "lp50":
-        reports.append(lemmas.verify_lp50(args.q_max, jobs=jobs))
-    elif suite == "threshold":
-        rows = underapprox.threshold_sweep(args.q_max, jobs=jobs)
-        # The rows are encoded as they pass into the check; json's wait in a
-        # spool, since the report's keys are written before its rows. Both
-        # are closed on any exit: an exception raised while a row is checked
-        # or written (Ctrl-C, say) would otherwise keep the pool running
-        # until the interpreter exits.
-        with closing(rows), ExitStack() as stack:
-            if args.format == "csv":
-                sys.stdout.write(_THRESHOLD_CSV_HEADER)
-                rows = _written(rows, _rows_csv, sys.stdout.write)
-            elif args.format == "json":
-                import tempfile  # about 6 ms of imports, paid by json threshold runs only
-                spool = stack.enter_context(tempfile.TemporaryFile())
-                rows = _written(rows, _rows_json, lambda s: spool.write(s.encode("ascii")), ",")
-            report = underapprox.verify_threshold_rows(rows, args.q_max)
-            if args.format == "json":
-                _emit_threshold_json(report, spool)
-            if args.format != "plain":
-                return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-            reports.append(report)
-    elif suite == "claims":
-        for claim in ("cls1", "cls2", "cll5"):
-            reports.append(counterexamples.check_fractional_claims(claim, args.j_max))
-    elif suite == "roots":
-        for case in (1, 2, 3):
-            reports.append(counterexamples.check_root_interval(case, args.s_max))
-    elif suite == "tables":
-        reports.append(counterexamples.verify_tables())
-    else:  # argparse choices make this unreachable
-        raise DomainError(f"unknown suite {suite!r}")
+def _threshold_report(q_max, jobs, *encoding):
+    """The threshold report; given ``encoding``, ``_written``'s ``encode,
+    write[, sep]``, each row is written as it passes into the check.
 
-    all_passed = all(r.passed for r in reports)
+    The sweep is closed on any exit: an exception raised while a row is
+    checked or written (Ctrl-C, say) would otherwise keep the pool running
+    until the interpreter exits.
+    """
+    with closing(underapprox.threshold_sweep(q_max, jobs=jobs)) as rows:
+        if encoding:
+            rows = _written(rows, *encoding)
+        return underapprox.verify_threshold_rows(rows, q_max)
+
+
+def _stream_threshold(fmt, q_max, jobs) -> int:
+    """``verify threshold`` as a csv or json table. json's rows wait in a
+    spool, since the report's keys are written before them."""
+    if fmt == "csv":
+        sys.stdout.write(_THRESHOLD_CSV_HEADER)
+        report = _threshold_report(q_max, jobs, _rows_csv, sys.stdout.write)
+    else:
+        import tempfile  # about 6 ms of imports, paid by json threshold runs only
+
+        with tempfile.TemporaryFile("w+", encoding="ascii", newline="") as spool:
+            report = _threshold_report(q_max, jobs, _rows_json, spool.write, ",")
+            _emit_threshold_json(report, spool)
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+
+
+# A verify suite: the bound flag it reads (None: it reads none) and that
+# bound's default, the formats it writes, and its runner, run(bound, jobs)
+# -> reports. The --q-max suites are the pooled sweeps, the only ones that
+# read --jobs. A runner looks its check up when it runs, so that a test can
+# replace the check.
+Suite = namedtuple("Suite", "flag default formats run")
+
+_FORMATS = ("json", "csv", "plain")
+_JSON_PLAIN = ("json", "plain")
+
+SUITES = {
+    "lp1": Suite("--q-max", 500, _JSON_PLAIN, lambda q, jobs: [lemmas.verify_lp1(q, jobs=jobs)]),
+    "lp11": Suite("--q-max", 500, _JSON_PLAIN, lambda q, jobs: [lemmas.verify_lp11(q, jobs=jobs)]),
+    "lp12": Suite(None, None, _JSON_PLAIN, lambda _, __: [lemmas.verify_lp12()]),
+    "lp50": Suite("--q-max", 500, _JSON_PLAIN, lambda q, jobs: [lemmas.verify_lp50(q, jobs=jobs)]),
+    "threshold": Suite("--q-max", 500, _FORMATS, lambda q, jobs: [_threshold_report(q, jobs)]),
+    "claims": Suite("--j-max", 500, _JSON_PLAIN, lambda j, _: [
+        counterexamples.check_fractional_claims(claim, j) for claim in ("cls1", "cls2", "cll5")]),
+    "roots": Suite("--s-max", 100, _JSON_PLAIN, lambda s, _: [
+        counterexamples.check_root_interval(case, s) for case in (1, 2, 3)]),
+    "tables": Suite(None, None, _JSON_PLAIN, lambda _, __: [counterexamples.verify_tables()]),
+}
+
+# the flags of `verify`: each suite's bound flag, and --jobs
+_SUITE_FLAGS = (*dict.fromkeys(s.flag for s in SUITES.values() if s.flag), "--jobs")
+
+
+def cmd_verify(args) -> int:
+    suite = SUITES[args.suite]
+    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _SUITE_FLAGS}
+    reads = (suite.flag, "--jobs") if suite.flag == "--q-max" else (suite.flag,)
+    for flag, value in values.items():
+        if value is not None and flag not in reads:
+            raise DomainError(f"verify {args.suite} does not read {flag}")
+    jobs = worker_count(1 if values["--jobs"] is None else values["--jobs"])
+    bound = suite.default if values.get(suite.flag) is None else values[suite.flag]
+    if args.suite == "threshold" and args.format != "plain":
+        return _stream_threshold(args.format, bound, jobs)
+    reports = suite.run(bound, jobs)
     if args.format == "plain":
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
@@ -368,7 +372,7 @@ def cmd_verify(args) -> int:
     else:
         payload = [r.to_json_dict() for r in reports]
         _emit_json(payload[0] if len(payload) == 1 else payload)
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("json", "csv", "plain"),
+        choices=_FORMATS,
         default="json",
         help="output format (default json; csv only where documented)",
     )
@@ -396,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"abort when a denominator exceeds this many digits (default {DEFAULT_DIGIT_GUARD})",
     )
     p_expand.add_argument("--no-guard", action="store_true", help="disable the digit guard")
-    p_expand.set_defaults(func=cmd_expand)
+    p_expand.set_defaults(func=cmd_expand, formats=_JSON_PLAIN)
 
     p_best = sub.add_parser("best", help="best m-term underapproximation of p/q")
     p_best.add_argument("p", type=int)
@@ -405,33 +409,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_best.add_argument(
         "--budget", type=int, default=None, help="search node budget (at least 1)"
     )
-    p_best.set_defaults(func=cmd_best)
+    p_best.set_defaults(func=cmd_best, formats=_JSON_PLAIN)
 
     p_step = sub.add_parser("step", help="step conditions for numerator n at step m")
     p_step.add_argument("p", type=int)
     p_step.add_argument("q", type=int)
     p_step.add_argument("--m", type=int, required=True)
     p_step.add_argument("--n", type=int, required=True)
-    p_step.set_defaults(func=cmd_step)
+    p_step.set_defaults(func=cmd_step, formats=_JSON_PLAIN)
 
     p_upsilon = sub.add_parser("upsilon", help="divisibility profile of p/q")
     p_upsilon.add_argument("p", type=int)
     p_upsilon.add_argument("q", type=int)
-    p_upsilon.set_defaults(func=cmd_upsilon)
+    p_upsilon.set_defaults(func=cmd_upsilon, formats=_JSON_PLAIN)
 
     p_construct = sub.add_parser("construct", help="two-term counterexample for index k")
     p_construct.add_argument("k", type=int)
-    p_construct.set_defaults(func=cmd_construct)
+    p_construct.set_defaults(func=cmd_construct, formats=_JSON_PLAIN)
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
-    p_verify.add_argument(
-        "suite",
-        choices=("lp1", "lp11", "lp12", "lp50", "threshold", "claims", "roots", "tables"),
-    )
-    p_verify.add_argument("--q-max", type=int, default=500)
-    p_verify.add_argument("--j-max", type=int, default=500)
-    p_verify.add_argument("--s-max", type=int, default=100)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("suite", choices=SUITES)
+    for flag in _SUITE_FLAGS:  # None: not given, so that cmd_verify can reject it
+        p_verify.add_argument(flag, type=int)
     p_verify.set_defaults(func=cmd_verify)
 
     p_phi = sub.add_parser("phi-samples", help="exact phi samples on a rational grid")
@@ -442,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="first numerator (default: ceil(denom/10), i.e. theta from ~1/10)",
     )
-    p_phi.set_defaults(func=cmd_phi_samples)
+    p_phi.set_defaults(func=cmd_phi_samples, formats=("json", "csv"))
 
     return parser
 
@@ -456,11 +455,9 @@ def main(argv=None) -> int:
     if set_int_max_str_digits is not None:
         set_int_max_str_digits(0)
     target = f"verify {args.suite}" if args.command == "verify" else args.command
+    formats = SUITES[args.suite].formats if args.command == "verify" else args.formats
     try:
-        # csv is defined only for the two tables, and phi-samples has no plain form
-        if (args.format == "csv" and target not in ("verify threshold", "phi-samples")) or (
-            args.format == "plain" and target == "phi-samples"
-        ):
+        if args.format not in formats:
             raise DomainError(f"{args.format} output is not defined for {target!r}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at exit

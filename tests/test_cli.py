@@ -497,23 +497,71 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
-def test_csv_rejected_where_undefined(capsys, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the command ran before its format was rejected")
+# one argv of each command but verify, which is run once per suite
+_COMMAND_ARGVS = {
+    "expand": ["expand", "5", "16", "--m", "3"],
+    "best": ["best", "10", "17", "--m", "2"],
+    "step": ["step", "1", "7", "--m", "1", "--n", "2"],
+    "upsilon": ["upsilon", "7", "54"],
+    "construct": ["construct", "6"],
+    "phi-samples": ["phi-samples", "--denom", "30"],
+}
 
-    monkeypatch.setattr(lemmas, "verify_lp1", no_work)
-    monkeypatch.setattr(greedy, "phi", no_work)
-    for fmt, argv in (
-        ("csv", ["verify", "lp1", "--q-max", "3000"]),
-        ("csv", ["verify", "lp12"]),
-        ("csv", ["expand", "5", "16", "--m", "3"]),
-        ("csv", ["best", "10", "17", "--m", "2"]),
-        ("csv", ["construct", "6"]),
-        ("plain", ["phi-samples", "--denom", "30"]),
-    ):
-        code, out, err = run_cli(capsys, "--format", fmt, *argv)
-        assert (code, out) == (2, ""), argv
-        assert f"{fmt} output is not defined" in err
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command ran before its arguments were rejected")
+
+
+def test_csv_rejected_where_undefined(capsys, monkeypatch):
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    assert set(commands) == {*_COMMAND_ARGVS, "verify"}
+    argvs = [*_COMMAND_ARGVS.values(), *(["verify", suite] for suite in cli.SUITES)]
+    rejected = []
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        declared = cli.SUITES[args.suite].formats if argv[0] == "verify" else args.formats
+        monkeypatch.setattr(cli, args.func.__name__, _no_work)
+        for fmt in set(cli._FORMATS) - set(declared):
+            code, out, err = run_cli(capsys, "--format", fmt, *argv)
+            assert (code, out) == (2, ""), (fmt, argv)
+            assert f"{fmt} output is not defined" in err
+            rejected.append(f"{fmt} {' '.join(argv)}")
+    assert "csv verify claims" in rejected and "plain phi-samples --denom 30" in rejected
+
+
+# a small bound for each bound flag a suite can read
+_SMALL_BOUNDS = {None: [], "--q-max": ["--q-max", "40"], "--j-max": ["--j-max", "40"],
+                 "--s-max": ["--s-max", "20"]}
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_every_suite_passes_at_a_small_bound(capsys, suite):
+    argv = ["verify", suite, *_SMALL_BOUNDS[cli.SUITES[suite].flag]]
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    reports = payload if isinstance(payload, list) else [payload]
+    assert reports and all(r["passed"] for r in reports)
+    code, out, _ = run_cli(capsys, "--format", "plain", *argv)
+    assert code == 0
+    # a report's failures, expected ones included, follow it on indented lines
+    heads = [line for line in out.splitlines() if not line.startswith("  failure at ")]
+    assert [line.split()[:2] for line in heads] == [["PASS", r["lemma_id"] + ":"] for r in reports]
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_a_flag_the_suite_does_not_read_is_rejected(capsys, monkeypatch, suite):
+    read = cli.SUITES[suite].flag
+    monkeypatch.setitem(cli.SUITES, suite, cli.SUITES[suite]._replace(run=_no_work))
+    monkeypatch.setattr(underapprox, "threshold_sweep", _no_work)
+    assert cli._SUITE_FLAGS == ("--q-max", "--j-max", "--s-max", "--jobs")
+    unread = [f for f in cli._SUITE_FLAGS if f not in (read, "--jobs" if read == "--q-max" else None)]
+    for flag in unread:
+        for fmt in cli.SUITES[suite].formats:
+            code, out, err = run_cli(capsys, "--format", fmt, "verify", suite, flag, "2")
+            assert (code, out) == (cli.EXIT_DOMAIN, ""), (flag, fmt)
+            assert err == f"domain error: verify {suite} does not read {flag}\n"
 
 
 @pytest.mark.parametrize("suite", ["lp1", "lp11", "lp50"])
@@ -739,7 +787,7 @@ def test_threshold_output_does_not_depend_on_jobs(capsys, fmt):
     assert out1 == out2 and out1
 
 
-@pytest.mark.parametrize("suite", ["lp1", "threshold", "tables"])
+@pytest.mark.parametrize("suite", ["lp1", "threshold"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_a_domain_error(capsys, suite, jobs):
     code, out, err = run_cli(
@@ -912,7 +960,8 @@ def test_pooled_sweeps_without_fork_match_jobs_1(capsys, method):
 
 # The header is flushed just before the workers are forked, and the first
 # row once they run: Ctrl-C after the one lands while the pool starts, after
-# the other while it runs.
+# the other while it runs. The child starts with SIGINT at its default, as
+# from an interactive shell: a child of a background job inherits it ignored.
 @two_cpus
 @pytest.mark.parametrize("lines_before", [1, 2])
 def test_ctrl_c_ends_a_pooled_sweep(lines_before):
@@ -920,6 +969,7 @@ def test_ctrl_c_ends_a_pooled_sweep(lines_before):
         [sys.executable, "-m", "egfrac.cli", "--format", "csv",
          "verify", "threshold", "--q-max", "3000", "--jobs", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(), start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         expected = [b"p,q,upsilon,greedy_is_best,unique,ties,losses\n", b"1,2,1,True,True,,\n"]
