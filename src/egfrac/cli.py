@@ -62,21 +62,13 @@ def _reduced(p: int, q: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _emit_plain(lines) -> None:
-    for line in lines:
-        print(line)
-
-
 def _emit(fmt, payload, plain_lines) -> int:
     """Write ``payload`` as json, or in plain format the lines ``plain_lines()`` returns."""
     if fmt == "plain":
-        _emit_plain(plain_lines())
+        for line in plain_lines():
+            print(line)
     else:
-        _emit_json(payload)
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -346,32 +338,44 @@ SUITES = {
 
 # the flags of `verify`: each suite's bound flag, and --jobs
 _SUITE_FLAGS = (*dict.fromkeys(s.flag for s in SUITES.values() if s.flag), "--jobs")
+_DEFAULT_JOBS = 1
+
+
+def _reads(suite) -> tuple:
+    """The flags of `verify` that ``suite`` reads."""
+    return (suite.flag, "--jobs") if suite.flag == "--q-max" else (suite.flag,)
+
+
+def _flag_help(flag) -> str:
+    """``--help`` for a flag of `verify`: the suites that read it, by default value."""
+    by_default = {}
+    for name, suite in SUITES.items():
+        if flag in _reads(suite):
+            default = _DEFAULT_JOBS if flag == "--jobs" else suite.default
+            by_default.setdefault(default, []).append(name)
+    return "; ".join(f"read by {', '.join(names)} (default {d})" for d, names in by_default.items())
 
 
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _SUITE_FLAGS}
-    reads = (suite.flag, "--jobs") if suite.flag == "--q-max" else (suite.flag,)
     for flag, value in values.items():
-        if value is not None and flag not in reads:
+        if value is not None and flag not in _reads(suite):
             raise DomainError(f"verify {args.suite} does not read {flag}")
-    jobs = worker_count(1 if values["--jobs"] is None else values["--jobs"])
+    jobs = worker_count(_DEFAULT_JOBS if values["--jobs"] is None else values["--jobs"])
     bound = suite.default if values.get(suite.flag) is None else values[suite.flag]
     if args.suite == "threshold" and args.format != "plain":
         return _stream_threshold(args.format, bound, jobs)
     reports = suite.run(bound, jobs)
-    if args.format == "plain":
+
+    def plain_lines():
         for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            print(
-                f"{status} {r.lemma_id}: {r.points_checked} points, "
-                f"{len(r.failures)} failure(s), range {r.range_descr}"
-            )
-            for failure in r.failures:
-                print(f"  failure at {failure}")
-    else:
-        payload = [r.to_json_dict() for r in reports]
-        _emit_json(payload[0] if len(payload) == 1 else payload)
+            yield (f"{'PASS' if r.passed else 'FAIL'} {r.lemma_id}: {r.points_checked} points, "
+                   f"{len(r.failures)} failure(s), range {r.range_descr}")
+            yield from (f"  failure at {failure}" for failure in r.failures)
+
+    payload = [r.to_json_dict() for r in reports]
+    _emit(args.format, payload[0] if len(payload) == 1 else payload, plain_lines)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
@@ -430,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument("suite", choices=SUITES)
     for flag in _SUITE_FLAGS:  # None: not given, so that cmd_verify can reject it
-        p_verify.add_argument(flag, type=int)
+        p_verify.add_argument(flag, type=int, help=_flag_help(flag))
     p_verify.set_defaults(func=cmd_verify)
 
     p_phi = sub.add_parser("phi-samples", help="exact phi samples on a rational grid")

@@ -13,11 +13,12 @@ The choice of v splits on k mod 4: for k = 4j it is always v = 1; the
 other residues pick v from a bracket in s, the j from its start up to the
 next bracket's start, so the brackets tile the j-axis (``_BRACKETS``;
 tables of hand-checked (k, v) values cover the small j before each
-bracket rule starts). The quadratic certificates behind the
-bracket rules are verified without any square roots: the quadratic has
-positive leading coefficient, so checking strict negativity at both
-integer endpoints of a bracket covers every j inside it by convexity
-(``check_root_interval``).
+bracket rule starts). Each start is a quadratic in s, so the bracket
+holding j is an ``isqrt`` of a linear form in j (``_bracket_s``). The
+quadratic certificates behind the bracket rules are verified without any
+square roots: the quadratic has positive leading coefficient, so checking
+strict negativity at both integer endpoints of a bracket covers every j
+inside it by convexity (``check_root_interval``).
 ``check_fractional_claims`` verifies, as integer congruences, the remainders
 mod 2k + 1 that make the floor in the inequality computable in closed form
 on each family. Each suite yields lazy ``(point, holds)`` verdicts for
@@ -27,6 +28,7 @@ on each family. Each suite yields lazy ``(point, holds)`` verdicts for
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple, Optional
 
 from . import rational
@@ -34,14 +36,16 @@ from .errors import DomainError, InvariantViolation
 from .greedy import closed_form, g_func, upsilon
 from .report import VerificationReport, tally
 
-# k mod 4 -> (s_min, first j of bracket s, v for bracket s). For
-# k = 4j + residue, the bracket holding j gives v. Bracket s is
-# first(s) <= j < first(s + 1), so the brackets of consecutive s tile the
-# j-axis from first(s_min) on, and each is written by its start only.
+# k mod 4 -> (s_min, first j of bracket s, its inverse: s of the bracket
+# holding j, v for bracket s). For k = 4j + residue, the bracket holding j
+# gives v. Bracket s is first(s) <= j < first(s + 1), so the brackets of
+# consecutive s tile the j-axis from first(s_min) on. The inverse is the
+# largest s with first(s) <= j: for residues 1, 2 and 3 that is
+# (2s + 1)^2 <= 8j + 1, (2s + 7)^2 <= 4j + 1 and (2s + 1)^2 <= 4j + 1.
 _BRACKETS = {
-    1: (1, lambda s: s * (s + 1) // 2, lambda s: 2 * s + 5),
-    2: (0, lambda s: 12 + s * (s + 7), lambda s: 4 * s + 20),
-    3: (2, lambda s: s * (s + 1), lambda s: 4 * s + 8),
+    1: (1, lambda s: s * (s + 1) // 2, lambda j: (isqrt(8 * j + 1) - 1) // 2, lambda s: 2 * s + 5),
+    2: (0, lambda s: 12 + s * (s + 7), lambda j: (isqrt(4 * j + 1) - 7) // 2, lambda s: 4 * s + 20),
+    3: (2, lambda s: s * (s + 1), lambda j: (isqrt(4 * j + 1) - 1) // 2, lambda s: 4 * s + 8),
 }
 
 # Hand-picked v for k = 4j+2 with 1 <= j <= 11; the bracket rule takes
@@ -141,21 +145,12 @@ def beating_pair(k: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def _bracket_s(residue: int, j: int) -> int:
     """Unique s >= s_min whose bracket for k = residue mod 4 holds j.
 
-    first(s) increases with s, so s is the last s with first(s) <= j, found
-    by doubling a step from s_min and then halving it: O(log j) brackets
-    are looked at, not O(sqrt j). That j lies in bracket s, that is
-    first(s) <= j < first(s + 1), is asserted, not assumed.
+    s is the bracket's inverse at j, in closed form; that j lies in
+    bracket s, first(s) <= j < first(s + 1), is asserted, not assumed.
     """
-    s_min, first, _ = _BRACKETS[residue]
-    s, step = s_min, 1
-    while first(s + step) <= j:
-        s += step
-        step *= 2
-    while step > 1:  # first(s) <= j < first(s + step), or j is below bracket s_min
-        step //= 2
-        if first(s + step) <= j:
-            s += step
-    if not first(s) <= j < first(s + 1):
+    s_min, first, s_of, _ = _BRACKETS[residue]
+    s = s_of(j)
+    if not (s >= s_min and first(s) <= j < first(s + 1)):
         raise InvariantViolation(f"bracket rule misses j = {j}")
     return s
 
@@ -172,7 +167,7 @@ def select_v(k: int) -> tuple[int, Optional[int]]:
     if k in TABLE_2:
         return TABLE_2[k], None
     s = _bracket_s(residue, k // 4)
-    v_of = _BRACKETS[residue][2]
+    v_of = _BRACKETS[residue][3]
     return v_of(s), s
 
 
@@ -212,29 +207,29 @@ def check_fractional_claims(claim: str, j_max: int) -> VerificationReport:
     k = 4j + residue and s, v picked by the bracket rule, the floor
     argument ``_core(k, v)/(2k+1)`` of ``check_s5`` must have the claimed
     fractional part N(j, s)/(2k+1): ``_core(k, v) % (2k+1) == N(j, s)``.
-    Consecutive j share a bracket, so s is walked forward as j grows
-    rather than searched for at each j; that j lies in bracket s,
-    first(s) <= j < first(s + 1), is still checked at every j.
+    The brackets are walked in s up to the one holding j_max, and each
+    bracket's j in turn, so every j is in its bracket by construction; that
+    the brackets tile the range, one point per j, is checked once at the end.
     """
     if claim not in _CLAIMS:
         raise DomainError(f"unknown claim {claim!r}; expected one of {sorted(_CLAIMS)}")
     residue, claimed_of = _CLAIMS[claim]
-    s_min, first, v_of = _BRACKETS[residue]
+    s_min, first, _, v_of = _BRACKETS[residue]
     j_min = first(s_min)
     if j_max < j_min:
         raise DomainError(f"j_max must be >= {j_min} for {claim}")
 
     def verdicts():
-        s = s_min
-        for j in range(j_min, j_max + 1):
-            while first(s + 1) <= j:
-                s += 1
-            if not first(s) <= j < first(s + 1):
-                raise InvariantViolation(f"bracket rule misses j = {j}")
-            k = 4 * j + residue
-            yield (j, s), _core(k, v_of(s)) % (2 * k + 1) == claimed_of(j, s)
+        for s in range(s_min, _bracket_s(residue, j_max) + 1):
+            v = v_of(s)
+            for j in range(first(s), min(first(s + 1), j_max + 1)):
+                k = 4 * j + residue
+                yield (j, s), _core(k, v) % (2 * k + 1) == claimed_of(j, s)
 
-    return tally(claim, f"{j_min} <= j <= {j_max}, s by bracket rule", verdicts())
+    report = tally(claim, f"{j_min} <= j <= {j_max}, s by bracket rule", verdicts())
+    if report.points_checked != j_max - j_min + 1:
+        raise InvariantViolation(f"the brackets of {claim} do not tile {j_min} <= j <= {j_max}")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +268,7 @@ def check_root_interval(residue_case: int, s_max: int) -> VerificationReport:
     if s_max < 2:
         raise DomainError("s_max must be >= 2")
     coeffs = _ROOT_COEFFS[residue_case]
-    s_min, first, _ = _BRACKETS[residue_case]
+    s_min, first, _, _ = _BRACKETS[residue_case]
 
     def verdicts():
         start = first(s_min)

@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -562,6 +563,22 @@ def test_a_flag_the_suite_does_not_read_is_rejected(capsys, monkeypatch, suite):
             code, out, err = run_cli(capsys, "--format", fmt, "verify", suite, flag, "2")
             assert (code, out) == (cli.EXIT_DOMAIN, ""), (flag, fmt)
             assert err == f"domain error: verify {suite} does not read {flag}\n"
+
+
+def test_verify_help_names_each_flags_suites_and_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  --")}
+    for flag in ("--q-max", "--j-max", "--s-max", "--jobs"):
+        readers = [name for name, s in cli.SUITES.items()
+                   if s.flag == flag or (flag == "--jobs" and s.flag == "--q-max")]
+        named = [word for word in re.findall(r"\w+", lines[flag]) if word in cli.SUITES]
+        assert named == readers, flag
+        defaults = {1} if flag == "--jobs" else {cli.SUITES[name].default for name in readers}
+        assert all(f"(default {d})" in lines[flag] for d in defaults), flag
 
 
 @pytest.mark.parametrize("suite", ["lp1", "lp11", "lp50"])

@@ -70,7 +70,7 @@ def test_bracket_s_finds_huge_j_in_its_bracket():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     for residue, s in zip((1, 2, 3), json.loads(proc.stdout), strict=True):
-        _, first, _ = ce._BRACKETS[residue]
+        _, first, _, _ = ce._BRACKETS[residue]
         assert first(s) <= j < first(s + 1)
         assert s == oracle_select_v(4 * j + residue)[1]
 
@@ -191,7 +191,7 @@ def test_root_interval_spot_endpoints():
 @pytest.mark.parametrize("claim", ["cls1", "cls2", "cll5"])
 def test_claimed_remainders_are_the_fractional_parts_over_2k_plus_1(claim):
     residue, remainder_of = ce._CLAIMS[claim]
-    s_min, first, _ = ce._BRACKETS[residue]
+    s_min, first, _, _ = ce._BRACKETS[residue]
     for j in range(first(s_min), 3001):
         s, claimed, actual = claimed_fractional_part(claim, j)
         assert claimed == actual, (claim, j)
@@ -229,20 +229,58 @@ def test_an_off_by_one_claim_fails_at_every_j(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("claim", ["cls1", "cls2", "cll5"])
-def test_the_walked_bracket_is_the_searched_one(monkeypatch, claim):
-    # a claim that fails everywhere reports every (j, s) the walk reached
+def test_each_reported_j_has_the_s_of_bracket_s(monkeypatch, claim):
+    # a claim that fails everywhere reports every (j, s) it checked, in order
     residue, _ = ce._CLAIMS[claim]
     monkeypatch.setitem(ce._CLAIMS, claim, (residue, lambda j, s: -1))
     report = ce.check_fractional_claims(claim, 5000)
-    s_min, first, _ = ce._BRACKETS[residue]
+    s_min, first, _, _ = ce._BRACKETS[residue]
     assert report.failures == [(j, ce._bracket_s(residue, j)) for j in range(first(s_min), 5001)]
+
+
+@pytest.mark.parametrize("residue", [1, 2, 3])
+def test_bracket_s_is_the_oracle_s(residue):
+    s_min, first, _, _ = ce._BRACKETS[residue]
+    for j in range(first(s_min), 10**5 + 1):
+        assert ce._bracket_s(residue, j) == oracle_select_v(4 * j + residue)[1], j
+    for s in (10**6, 10**30):
+        # the last j of bracket s - 1, then the first of bracket s
+        for j, expected in ((first(s) - 1, s - 1), (first(s), s)):
+            assert ce._bracket_s(residue, j) == oracle_select_v(4 * j + residue)[1] == expected
+
+
+@pytest.mark.parametrize("residue", [1, 2, 3])
+def test_an_off_by_one_inverse_is_an_invariant_violation(capsys, monkeypatch, residue):
+    s_min, first, s_of, v_of = ce._BRACKETS[residue]
+    monkeypatch.setitem(ce._BRACKETS, residue, (s_min, first, lambda j: s_of(j) + 1, v_of))
+    k = 4 * 100 + residue
+    with pytest.raises(InvariantViolation, match="bracket rule misses j = 100"):
+        ce.select_v(k)
+    assert cli.main(["construct", str(k)]) == cli.EXIT_INVARIANT
+    assert capsys.readouterr() == ("", "invariant violation: bracket rule misses j = 100\n")
+
+
+def test_brackets_that_do_not_tile_are_an_invariant_violation(capsys, monkeypatch):
+    # bracket 5 of cls1 starts past bracket 6, so no j is checked at s = 5
+    # and j = first(6) = 21 is checked twice, at s = 4 and at s = 6
+    s_min, first, s_of, v_of = ce._BRACKETS[1]
+
+    def out_of_order(s):
+        return first(6) + 1 if s == 5 else first(s)
+
+    monkeypatch.setitem(ce._BRACKETS, 1, (s_min, out_of_order, s_of, v_of))
+    with pytest.raises(InvariantViolation, match="do not tile"):
+        ce.check_fractional_claims("cls1", 500)
+    assert cli.main(["verify", "claims"]) == cli.EXIT_INVARIANT
+    assert capsys.readouterr() == (
+        "", "invariant violation: the brackets of cls1 do not tile 1 <= j <= 500\n")
 
 
 def test_a_negated_root_quadratic_fails_at_every_endpoint(capsys, monkeypatch):
     coeffs = ce._ROOT_COEFFS[3]
     monkeypatch.setitem(ce._ROOT_COEFFS, 3, lambda s: tuple(-c for c in coeffs(s)))
     report = ce.check_root_interval(3, 9)
-    _, first, _ = ce._BRACKETS[3]
+    _, first, _, _ = ce._BRACKETS[3]
     assert report.failures == [
         (s, j) for s in range(2, 10) for j in (first(s), first(s + 1) - 1)
     ]
