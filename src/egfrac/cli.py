@@ -2,9 +2,9 @@
 
 Every operation is a subcommand with machine-readable output on stdout
 (diagnostics go to stderr). Fractions are passed as two integer
-arguments, reduced internally, and the reduced pair is echoed in the
-output. Output is deterministic given the flags; ``--jobs`` only affects
-wall time.
+arguments, checked and reduced by ``greedy.reduced`` (one rule, one
+message), and the reduced pair is echoed in the output. Output is
+deterministic given the flags; ``--jobs`` only affects wall time.
 
 Exit codes (stable API): 0 ok, 2 domain error, 3 digit guard exceeded,
 4 search inconclusive, 5 verification failure, 6 invariant violation (a
@@ -29,7 +29,6 @@ import sys
 from collections import namedtuple
 from contextlib import closing
 from fractions import Fraction
-from math import gcd
 
 from . import counterexamples, greedy, lemmas, underapprox
 from ._pool import worker_count
@@ -53,15 +52,6 @@ DEFAULT_DIGIT_GUARD = 10_000
 _ROWS_PER_WRITE = 2048  # table rows encoded per write by _written
 
 
-def _reduced(p: int, q: int) -> tuple[int, int]:
-    if q == 0:
-        raise DomainError("denominator must be nonzero")
-    if p < 1 or q < 1:
-        raise DomainError("expected a positive fraction p q")
-    g = gcd(p, q)
-    return p // g, q // g
-
-
 def _emit(fmt, payload, plain_lines) -> int:
     """Write ``payload`` as json, or in plain format the lines ``plain_lines()`` returns."""
     if fmt == "plain":
@@ -73,10 +63,10 @@ def _emit(fmt, payload, plain_lines) -> int:
 
 
 def cmd_expand(args) -> int:
-    p, q = _reduced(args.p, args.q)
+    p, q = greedy.reduced(args.p, args.q)
     guard = None if args.no_guard else args.digit_guard
     exp = greedy.expand(Fraction(p, q), args.m, digit_guard=guard)
-    profile = greedy.upsilon_profile(p, q)
+    profile = greedy.upsilon_profile(p, q, digit_guard=guard)
     payload = exp.to_json_dict()
     payload.update({"p": p, "q": q, "ell": profile.ell, "delta": profile.delta})
     return _emit(args.format, payload, lambda: [
@@ -88,7 +78,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_best(args) -> int:
-    p, q = _reduced(args.p, args.q)
+    p, q = greedy.reduced(args.p, args.q)
     result = underapprox.best_m_term(
         Fraction(p, q), args.m, budget=args.budget, digit_guard=DEFAULT_DIGIT_GUARD
     )
@@ -101,7 +91,7 @@ def cmd_best(args) -> int:
 
 
 def cmd_step(args) -> int:
-    p, q = _reduced(args.p, args.q)
+    p, q = greedy.reduced(args.p, args.q)
     report = greedy.step_report(
         Fraction(p, q), args.m, args.n, digit_guard=DEFAULT_DIGIT_GUARD
     )
@@ -113,7 +103,7 @@ def cmd_step(args) -> int:
 
 
 def cmd_upsilon(args) -> int:
-    profile = greedy.upsilon_profile(args.p, args.q)
+    profile = greedy.upsilon_profile(args.p, args.q, digit_guard=DEFAULT_DIGIT_GUARD)
     return _emit(args.format, profile.to_json_dict(), lambda: [
         f"p/q = {profile.p}/{profile.q}",
         f"upsilon = {profile.upsilon}, ell = {profile.ell}, "
@@ -392,10 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default json; csv only where documented)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fraction = argparse.ArgumentParser(add_help=False)  # the p q of four commands
+    fraction.add_argument("p", type=int)
+    fraction.add_argument("q", type=int)
 
-    p_expand = sub.add_parser("expand", help="greedy expansion of p/q")
-    p_expand.add_argument("p", type=int)
-    p_expand.add_argument("q", type=int)
+    p_expand = sub.add_parser("expand", parents=[fraction], help="greedy expansion of p/q")
     p_expand.add_argument("--m", type=int, required=True, help="number of terms")
     p_expand.add_argument(
         "--digit-guard",
@@ -406,25 +397,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--no-guard", action="store_true", help="disable the digit guard")
     p_expand.set_defaults(func=cmd_expand, formats=_JSON_PLAIN)
 
-    p_best = sub.add_parser("best", help="best m-term underapproximation of p/q")
-    p_best.add_argument("p", type=int)
-    p_best.add_argument("q", type=int)
+    p_best = sub.add_parser(
+        "best", parents=[fraction], help="best m-term underapproximation of p/q"
+    )
     p_best.add_argument("--m", type=int, required=True)
     p_best.add_argument(
         "--budget", type=int, default=None, help="search node budget (at least 1)"
     )
     p_best.set_defaults(func=cmd_best, formats=_JSON_PLAIN)
 
-    p_step = sub.add_parser("step", help="step conditions for numerator n at step m")
-    p_step.add_argument("p", type=int)
-    p_step.add_argument("q", type=int)
+    p_step = sub.add_parser(
+        "step", parents=[fraction], help="step conditions for numerator n at step m"
+    )
     p_step.add_argument("--m", type=int, required=True)
     p_step.add_argument("--n", type=int, required=True)
     p_step.set_defaults(func=cmd_step, formats=_JSON_PLAIN)
 
-    p_upsilon = sub.add_parser("upsilon", help="divisibility profile of p/q")
-    p_upsilon.add_argument("p", type=int)
-    p_upsilon.add_argument("q", type=int)
+    p_upsilon = sub.add_parser("upsilon", parents=[fraction], help="divisibility profile of p/q")
     p_upsilon.set_defaults(func=cmd_upsilon, formats=_JSON_PLAIN)
 
     p_construct = sub.add_parser("construct", help="two-term counterexample for index k")

@@ -16,10 +16,13 @@ ell, the integral-reciprocal index delta, the step function
 ``phi(theta) = 1/(G(theta) - 1/theta)``, the best numerator-N
 underapproximant denominator, the four-way equivalence report for
 ``1/a_m = N/b_m``, and the closed form of the expansion where one is
-known. ``upsilon_profile`` is the one place the divisibility families
-are told apart (upsilon | q, upsilon = 2 with q odd, p | q+1);
-``closed_form`` reads the family from it. p | q+1 is the upsilon = 1
-case of upsilon | q and shares its formula.
+known. ``reduced`` is the one check on a fraction given as two integers
+p, q: it reduces p/q and rejects it unless p, q >= 1 and p <= q. The CLI,
+``ell_index``, ``upsilon_profile`` and ``closed_form`` run it. ``_family``
+is the one place the divisibility families are told apart (upsilon | q,
+upsilon = 2 with q odd, p | q+1), for ``upsilon_profile`` and
+``closed_form`` alike. p | q+1 is the upsilon = 1 case of upsilon | q and
+shares its formula.
 
 Everything is a pure function of exact rationals; nothing here touches
 floating point.
@@ -170,21 +173,22 @@ def ell_index(p: int, q: int) -> int:
     Zero exactly when p divides q (which for reduced input forces p = 1);
     otherwise equal to upsilon(p, q).
     """
-    if _reduced(p, q) != (p, q):
+    if reduced(p, q) != (p, q):
         raise DomainError(f"{p}/{q} is not in lowest terms")
     return (-q) % p
 
 
-def delta_index(p: int, q: int) -> int:
+def delta_index(p: int, q: int, digit_guard: Optional[int] = None) -> int:
     """Smallest m >= 0 such that the reciprocal of e_m is a positive integer.
 
     Always <= ell_index(p, q): after clearing ell terms the residual is a
     unit fraction, but it can become one earlier (7/54 reaches 1/216 after
-    a single step while ell = 2).
+    a single step while ell = 2). ``digit_guard`` caps the denominators of
+    that walk as in ``expand``; the library default is unlimited.
     """
     ell = ell_index(p, q)
     e = Fraction(p, q)
-    steps = greedy_steps(e)
+    steps = greedy_steps(e, digit_guard)
     for m in range(ell + 1):
         if e.numerator == 1:
             return m
@@ -194,8 +198,8 @@ def delta_index(p: int, q: int) -> int:
     )
 
 
-def _reduced(p: int, q: int) -> tuple[int, int]:
-    """p/q in lowest terms, for positive p <= q."""
+def reduced(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms; a DomainError unless p, q >= 1 and p <= q."""
     if p < 1 or q < 1:
         raise DomainError("p and q must be positive integers")
     if p > q:
@@ -222,23 +226,28 @@ class UpsilonProfile(NamedTuple):
         return self._asdict()
 
 
-def upsilon_profile(p: int, q: int) -> UpsilonProfile:
-    """Reduce p/q and report upsilon, ell, delta and the closed-form family.
-
-    The only place the family conditions are written; ``closed_form``
-    reads them from here.
-    """
-    p, q = _reduced(p, q)
-    ups = upsilon(p, q)
+def _family(p: int, q: int, ups: int) -> str:
+    """The closed-form family of reduced p/q with upsilon ``ups``, the most specific one."""
     if (q + 1) % p == 0:
-        family = FAMILY_P_DIVIDES_Q_PLUS_1
-    elif q % ups == 0:
-        family = FAMILY_UPSILON_DIVIDES_Q
-    elif ups == 2 and q % 2 == 1:
-        family = FAMILY_UPSILON2_ODD_Q
-    else:
-        family = FAMILY_GENERAL
-    return UpsilonProfile(p, q, ups, ell_index(p, q), delta_index(p, q), family)
+        return FAMILY_P_DIVIDES_Q_PLUS_1
+    if q % ups == 0:
+        return FAMILY_UPSILON_DIVIDES_Q
+    if ups == 2 and q % 2 == 1:
+        return FAMILY_UPSILON2_ODD_Q
+    return FAMILY_GENERAL
+
+
+def upsilon_profile(p: int, q: int, digit_guard: Optional[int] = None) -> UpsilonProfile:
+    """Reduce p/q with ``reduced`` and report upsilon, ell, delta and the
+    family from ``_family``.
+
+    ``digit_guard`` caps the denominators of the delta walk as in
+    ``expand``; the library default is unlimited.
+    """
+    p, q = reduced(p, q)
+    ups = upsilon(p, q)
+    delta = delta_index(p, q, digit_guard)
+    return UpsilonProfile(p, q, ups, ell_index(p, q), delta, _family(p, q, ups))
 
 
 class StepReport(NamedTuple):
@@ -329,7 +338,9 @@ def closed_form(p: int, q: int, m: int) -> list[int]:
     """
     if m < 1:
         raise DomainError("term count must be >= 1")
-    p, q, ups, _, _, family = upsilon_profile(p, q)
+    p, q = reduced(p, q)
+    ups = upsilon(p, q)
+    family = _family(p, q, ups)
     if family == FAMILY_GENERAL:
         raise DomainError(f"no closed form is known for {p}/{q}")
     terms = [(q + ups) // p]

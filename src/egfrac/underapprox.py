@@ -43,8 +43,7 @@ class UnderapproxResult(NamedTuple):
     greedy sum, ``unique`` iff there is exactly one maximizer.
 
     ``nodes_per_level`` and ``pruned_per_level`` describe the search's
-    effort, not its answer: they are left out of equality and of the
-    JSON form.
+    effort, not its answer: they are left out of the JSON form.
     """
 
     theta: Fraction
@@ -57,13 +56,6 @@ class UnderapproxResult(NamedTuple):
     unique: bool
     nodes_per_level: tuple[int, ...] = ()
     pruned_per_level: tuple[int, ...] = ()
-
-    # tuple.__ne__ would compare the counts too, so both are defined
-    def __eq__(self, other):
-        return isinstance(other, UnderapproxResult) and self[:8] == other[:8]
-
-    def __ne__(self, other):
-        return not self == other
 
     def to_json_dict(self) -> dict:
         return {

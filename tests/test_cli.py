@@ -83,6 +83,25 @@ def test_domain_error_exit_code(capsys):
     assert "domain error" in err
 
 
+FRACTION_ARGVS = {
+    "expand": ("--m", "2"),
+    "best": ("--m", "2"),
+    "step": ("--m", "1", "--n", "1"),
+    "upsilon": (),
+}
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (0, 5), (-1, 5), (1, -5), (-2, -3), (3, 2)])
+def test_a_bad_fraction_gets_one_message_from_every_command(capsys, p, q):
+    errs = set()
+    for command, flags in FRACTION_ARGVS.items():
+        code, out, err = run_cli(capsys, command, str(p), str(q), *flags)
+        assert (code, out) == (cli.EXIT_DOMAIN, ""), command
+        assert err.startswith("domain error: ") and err.count("\n") == 1, command
+        errs.add(err)
+    assert len(errs) == 1, errs
+
+
 def test_best_reports_tie(capsys):
     code, out, _ = run_cli(capsys, "best", "10", "17", "--m", "2")
     assert code == 0
@@ -319,6 +338,19 @@ def test_step_is_digit_guarded(capsys):
     code, out, err = run_cli(capsys, "step", "5", "16", "--m", "25", "--n", "2")
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (3, "") and "digit guard" in err
+
+
+# a General fraction whose delta walk passes the default guard at step 14;
+# unguarded, the walk runs on with ever longer denominators
+HUGE_DELTA = ("5699019327528187958238481272", "289310727873549501811999755421")
+
+
+@pytest.mark.parametrize("argv", [("upsilon", *HUGE_DELTA), ("expand", *HUGE_DELTA, "--m", "2")])
+def test_the_delta_walk_is_digit_guarded(argv):
+    proc = subprocess.run([sys.executable, "-m", "egfrac.cli", *argv], env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_GUARD, "")
+    assert proc.stderr.startswith("digit guard:")
 
 
 def test_upsilon_command(capsys):

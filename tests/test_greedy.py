@@ -1,6 +1,7 @@
 """Greedy expansion, step analysis, and closed-form family checks."""
 
 import random
+import time
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -255,6 +256,15 @@ def test_closed_form_upsilon_divides_q():
         greedy.closed_form(3, 10, 0)
     with pytest.raises(DomainError):
         greedy.closed_form(7, 5, 2)
+
+
+def test_closed_form_of_a_general_fraction_fails_before_any_expansion():
+    # delta of this fraction needs a denominator of over 10,000 digits;
+    # closed_form must not walk the expansion to find a family it has
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="no closed form"):
+        greedy.closed_form(5699019327528187958238481272, 289310727873549501811999755421, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_closed_form_upsilon2_odd_q():

@@ -196,7 +196,6 @@ def test_search_effort_is_reported_outside_the_answer():
     assert r.pruned_per_level[:3] == (0, 0, 0) and r.pruned_per_level[3] > 0
     assert "nodes_per_level" not in r.to_json_dict()
     assert "pruned_per_level" not in r.to_json_dict()
-    assert r._replace(nodes_per_level=(), pruned_per_level=()) == r
     assert underapprox.best_m_term(Fraction(10, 17), 1).nodes_per_level == ()
 
 
