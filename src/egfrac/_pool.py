@@ -1,17 +1,18 @@
 """Worker processes for the sweeps.
 
 ``worker_count`` is the one place a ``jobs`` value is checked; ``ordered_map``
-is the one place a process pool is made. Results come back in input order,
-so the number of workers never changes what a sweep returns, and only a
-fixed window of chunks is in flight, so memory does not grow with the
-length of the input.
+is the one place worker processes are made. Results come back in input
+order, so the number of workers never changes what a sweep returns, and
+only a fixed window of chunks is in flight, so memory does not grow with
+the length of the input.
 
-The pool is a ``concurrent.futures.ProcessPoolExecutor``, imported only
-when a sweep runs with more than one job, so a serial run never loads it
-(or the ``logging`` it imports). ``multiprocessing.Pool`` imports about
-5 ms faster, but a worker that dies (killed, or out of memory) leaves its
-chunk unanswered there and the sweep waits forever; the executor raises
-``BrokenProcessPool`` instead.
+``jobs`` counts the caller: ``jobs - 1`` ``multiprocessing`` workers each
+get chunks over a ``Pipe`` of their own, and the caller computes a chunk
+itself whenever the oldest one's results have not come back yet. So no
+executor and no thread is made, and ``--jobs N`` keeps N processes busy.
+``multiprocessing`` is imported only when a sweep runs with more than one
+job. A worker that dies (killed, or out of memory) ends the map with
+``BrokenProcessPool`` rather than leaving its chunk unanswered.
 """
 
 from __future__ import annotations
@@ -33,58 +34,132 @@ def worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-# chunks in flight per worker, submitted and not yet read by the caller
+# chunks per job in the window: sent to a worker or computed by the caller,
+# and not yet yielded
 _CHUNKS_PER_JOB = 4
-
-
-def _map_chunk(worker: Callable, chunk: list) -> list:
-    return [worker(item) for item in chunk]
 
 
 def ordered_map(worker: Callable, items: Iterable, jobs: int, chunksize: int) -> Iterator:
     """Yield ``worker(item)`` for each item, in order, using ``jobs`` processes.
 
-    Items go to the workers ``chunksize`` at a time, at most
-    ``_CHUNKS_PER_JOB * jobs`` chunks ahead of the caller: the next chunk
-    is taken from ``items`` as the oldest one's results are read. Results
-    are yielded as they arrive, so the caller's work overlaps the
-    workers'. When the caller stops early (closes the generator, or an
-    exception ends the iteration), chunks not yet started are cancelled
-    and the pool is shut down before control returns. ``jobs`` must
-    already have been through ``worker_count``.
+    Items go out ``chunksize`` at a time, at most ``_CHUNKS_PER_JOB * jobs``
+    chunks ahead of the caller. Each worker holds up to ``_CHUNKS_PER_JOB``
+    of them and gets the next chunk as the oldest one's results are read;
+    while the oldest chunk is still out, the caller takes the next chunk
+    and computes it itself. Results are yielded as they arrive, so the
+    caller's work overlaps the workers'. An exception raised by ``worker``
+    in a worker is raised here, as itself. When the caller stops early
+    (closes the generator, or an exception ends the iteration), workers
+    still computing a chunk are terminated and the others stopped before
+    control returns. ``jobs`` must already have been through
+    ``worker_count``.
     """
     if jobs == 1:
         yield from map(worker, items)
         return
     import signal
     from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
     from itertools import islice
+    from multiprocessing import Pipe, Process
 
     items = iter(items)
     chunks = iter(lambda: list(islice(items, chunksize)), [])
-    # Ctrl-C reaches every process in the group. A worker interrupted while
-    # it holds the result queue's lock never releases it, and the shutdown
-    # below then waits forever; so only the caller takes the interrupt. It
-    # is held back while the first chunks start the workers: there it could
-    # be lost in a fork hook, or leave workers running that shutdown cannot
-    # stop.
-    pool = ProcessPoolExecutor(
-        max_workers=jobs, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-    )
-    submit = partial(pool.submit, _map_chunk, worker)
+    window = _CHUNKS_PER_JOB * jobs
+    workers = []
+    # per chunk, in input order: its results, or the connection of the
+    # worker computing it
+    pending = deque()
+    # Ctrl-C reaches every process in the group. The workers ignore it, so
+    # that it ends the map as the caller's KeyboardInterrupt, not as a lost
+    # worker, and the caller stops them. It is held back while the workers
+    # start: there it could be lost in a fork hook, or leave a worker that
+    # nothing stops.
     sigmask = getattr(signal, "pthread_sigmask", None)  # POSIX only
     try:
         held = sigmask and sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            pending = deque(map(submit, islice(chunks, _CHUNKS_PER_JOB * jobs)))
+            for _ in range(jobs - 1):
+                conn, child_conn = Pipe()
+                process = Process(target=_serve, args=(worker, child_conn), daemon=True)
+                process.start()
+                # the worker then holds the only copy of its end, so the
+                # parent sees EOF on ``conn`` if the worker dies
+                child_conn.close()
+                workers.append((process, conn))
         finally:
             if sigmask:
                 sigmask(signal.SIG_SETMASK, held)
+        for _, conn in workers * _CHUNKS_PER_JOB:
+            for chunk in islice(chunks, 1):
+                _send(conn, chunk)
+                pending.append(conn)
         while pending:
-            results = pending.popleft().result()
-            pending.extend(map(submit, islice(chunks, 1)))  # the next chunk, if any
+            oldest = pending[0]
+            if isinstance(oldest, list):
+                results = oldest
+            elif len(pending) < window and not oldest.poll() and (chunk := next(chunks, None)):
+                # its worker is not done: compute the next chunk here meanwhile
+                pending.append([worker(item) for item in chunk])
+                continue
+            else:
+                results = _receive(oldest)
+                for chunk in islice(chunks, 1):  # the worker's next chunk, if any
+                    _send(oldest, chunk)
+                    pending.append(oldest)
+            pending.popleft()
             yield from results
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        # A worker is stopped by the ``None`` sentinel, not by closing its
+        # pipe: a worker forked later holds the parent's end too, so the
+        # worker would never see EOF. One still computing is terminated.
+        for process, conn in workers:
+            if any(entry is conn for entry in pending):
+                process.terminate()
+            else:
+                try:
+                    conn.send(None)
+                except OSError:  # it died
+                    pass
+        for process, conn in workers:
+            process.join()
+            conn.close()
+
+
+def _serve(worker: Callable, conn) -> None:
+    """A worker's loop: send back ``worker`` mapped over each chunk, until ``None``.
+
+    Each reply is ``(True, results)``, or ``(False, exception)`` if
+    ``worker`` raised.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while (chunk := conn.recv()) is not None:
+        try:
+            reply = (True, [worker(item) for item in chunk])
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send(reply)
+
+
+def _send(conn, chunk: list) -> None:
+    try:
+        conn.send(chunk)
+    except OSError:
+        raise _lost_worker() from None
+
+
+def _receive(conn) -> list:
+    try:
+        ok, payload = conn.recv()
+    except (EOFError, OSError):
+        raise _lost_worker() from None
+    if not ok:
+        raise payload
+    return payload
+
+
+def _lost_worker() -> Exception:
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool("a worker process ended before returning its chunk")

@@ -5,6 +5,9 @@ Every operation is a subcommand with machine-readable output on stdout
 arguments, checked and reduced by ``greedy.reduced`` (one rule, one
 message), and the reduced pair is echoed in the output. Output is
 deterministic given the flags; ``--jobs`` only affects wall time.
+``--jobs N`` runs a sweep in N processes, this one included: it computes
+chunks of the sweep too while it waits for the N - 1 workers (see
+``_pool.ordered_map``).
 
 Exit codes (stable API): 0 ok, 2 domain error, 3 digit guard exceeded,
 4 search inconclusive, 5 verification failure, 6 invariant violation (a

@@ -198,9 +198,10 @@ def threshold_sweep(q_max: int, jobs: int = 1) -> Iterator[tuple]:
     to build, to pickle between ``--jobs`` workers, and to unpack.
 
     Rows are yielded one at a time, ordered by (q, p) regardless of worker
-    count; with ``jobs > 1`` they are yielded as the workers' chunks
-    arrive. The arguments are checked before the first row is asked for.
-    Closing the iterator early cancels the chunks not yet started.
+    count; with ``jobs > 1`` they are yielded a chunk of 16 q at a time, as
+    each chunk is done (see ``_pool.ordered_map``). The arguments are
+    checked before the first row is asked for. Closing the iterator early
+    stops the workers.
     """
     if q_max < 2:
         raise DomainError("q_max must be >= 2")

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -870,6 +871,29 @@ def test_pool_pulls_items_only_a_window_ahead():
     assert list(_pool.ordered_map(abs, range(0, -50, -1), jobs=2, chunksize=3)) == list(range(50))
 
 
+def test_pool_raises_a_worker_exception_as_itself():
+    # with chunksize 1 the first window sends all four items to the one worker
+    with pytest.raises(ValueError):
+        list(_pool.ordered_map(math.sqrt, [4, 9, -1, 16], jobs=2, chunksize=1))
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_stops_several_workers_by_sentinel():
+    # Forked workers inherit the parent's end of each earlier worker's pipe,
+    # so a worker told to stop by EOF would never see it and join would hang;
+    # jobs=3 directly (worker_count would clamp it) gives two workers.
+    script = (
+        "import multiprocessing\n"
+        "from egfrac import _pool\n"
+        "results = list(_pool.ordered_map(abs, range(0, -200, -1), jobs=3, chunksize=3))\n"
+        "print(results == list(range(200)), multiprocessing.active_children())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_cli_env(), capture_output=True, text=True, timeout=30
+    )
+    assert proc.stdout == "True []\n", proc.stderr
+
+
 def test_invariant_violation_exit_code(capsys, monkeypatch):
     # b_m = n * a_m always makes condition (ii) hold; at 1/7, m = 1, n = 2
     # condition (i) fails, so the provably equivalent conditions disagree
@@ -947,6 +971,12 @@ def test_start_up_imports_stay_light():
     )
     assert "egfrac.underapprox" in loaded
     assert loaded.isdisjoint({"concurrent.futures", "logging", "tempfile"}), loaded
+    # nor does the --jobs pool bring concurrent.futures or logging
+    loaded = _modules_loaded_by(
+        f"from egfrac.cli import main\nassert main({argv + ['--jobs', '2']!r}) == 0"
+    )
+    assert "multiprocessing" in loaded or (os.cpu_count() or 1) < 2
+    assert loaded.isdisjoint({"concurrent.futures", "logging"}), loaded
 
 
 two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
