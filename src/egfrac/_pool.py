@@ -13,6 +13,12 @@ executor and no thread is made, and ``--jobs N`` keeps N processes busy.
 ``multiprocessing`` is imported only when a sweep runs with more than one
 job. A worker that dies (killed, or out of memory) ends the map with
 ``BrokenProcessPool`` rather than leaving its chunk unanswered.
+
+Each end of a pipe has one holder, under every start method: the parent
+closes a worker's end once the worker has started, and a forked worker
+closes the parent's ends it inherits. So a worker stops when its pipe
+closes: when the map ends, and when the caller exits or is killed, once
+the chunk in hand is done.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ def ordered_map(worker: Callable, items: Iterable, jobs: int, chunksize: int) ->
     import signal
     from collections import deque
     from itertools import islice
-    from multiprocessing import Pipe, Process
+    from multiprocessing import Pipe, Process, util
 
     items = iter(items)
     chunks = iter(lambda: list(islice(items, chunksize)), [])
@@ -72,14 +78,17 @@ def ordered_map(worker: Callable, items: Iterable, jobs: int, chunksize: int) ->
     # Ctrl-C reaches every process in the group. The workers ignore it, so
     # that it ends the map as the caller's KeyboardInterrupt, not as a lost
     # worker, and the caller stops them. It is held back while the workers
-    # start: there it could be lost in a fork hook, or leave a worker that
-    # nothing stops.
+    # start, where it could be lost in a fork hook.
     sigmask = getattr(signal, "pthread_sigmask", None)  # POSIX only
     try:
         held = sigmask and sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             for _ in range(jobs - 1):
                 conn, child_conn = Pipe()
+                # a forked worker closes the parent's end of its own pipe and
+                # of every earlier one (spawn and forkserver inherit none), so
+                # a worker sees EOF when the parent closes ``conn`` or dies
+                util.register_after_fork(conn, type(conn).close)
                 process = Process(target=_serve, args=(worker, child_conn), daemon=True)
                 process.start()
                 # the worker then holds the only copy of its end, so the
@@ -109,37 +118,37 @@ def ordered_map(worker: Callable, items: Iterable, jobs: int, chunksize: int) ->
             pending.popleft()
             yield from results
     finally:
-        # A worker is stopped by the ``None`` sentinel, not by closing its
-        # pipe: a worker forked later holds the parent's end too, so the
-        # worker would never see EOF. One still computing is terminated.
+        # a worker still computing is terminated; an idle one stops when its
+        # pipe closes
         for process, conn in workers:
             if any(entry is conn for entry in pending):
                 process.terminate()
-            else:
-                try:
-                    conn.send(None)
-                except OSError:  # it died
-                    pass
-        for process, conn in workers:
-            process.join()
             conn.close()
+        for process, _ in workers:
+            process.join()
 
 
 def _serve(worker: Callable, conn) -> None:
-    """A worker's loop: send back ``worker`` mapped over each chunk, until ``None``.
+    """A worker's loop: send back ``worker`` mapped over each chunk, until EOF.
 
     Each reply is ``(True, results)``, or ``(False, exception)`` if
-    ``worker`` raised.
+    ``worker`` raised. EOF on ``recv`` or a failed ``send`` means the
+    parent closed its end, exited or was killed: the loop then returns
+    without output.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while (chunk := conn.recv()) is not None:
-        try:
-            reply = (True, [worker(item) for item in chunk])
-        except Exception as exc:
-            reply = (False, exc)
-        conn.send(reply)
+    try:
+        while True:
+            chunk = conn.recv()
+            try:
+                reply = (True, [worker(item) for item in chunk])
+            except Exception as exc:
+                reply = (False, exc)
+            conn.send(reply)
+    except (EOFError, OSError):
+        return
 
 
 def _send(conn, chunk: list) -> None:

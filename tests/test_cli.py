@@ -12,7 +12,7 @@ import signal
 import subprocess
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, suppress
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -868,6 +868,8 @@ def test_pool_pulls_items_only_a_window_ahead():
         assert next(results) == 0
         assert pulled <= (_pool._CHUNKS_PER_JOB * 2 + 1) * 16
         assert list(islice(results, 999)) == list(range(1, 1000))
+    # closed early: busy workers are terminated, idle ones stop on EOF
+    assert multiprocessing.active_children() == []
     assert list(_pool.ordered_map(abs, range(0, -50, -1), jobs=2, chunksize=3)) == list(range(50))
 
 
@@ -878,10 +880,10 @@ def test_pool_raises_a_worker_exception_as_itself():
     assert multiprocessing.active_children() == []
 
 
-def test_pool_stops_several_workers_by_sentinel():
-    # Forked workers inherit the parent's end of each earlier worker's pipe,
-    # so a worker told to stop by EOF would never see it and join would hang;
-    # jobs=3 directly (worker_count would clamp it) gives two workers.
+def test_pool_stops_several_workers_by_closing_their_pipes():
+    # A forked worker inherits the parent's end of its own pipe and of each
+    # earlier worker's; unless it closes them it never sees EOF, and join
+    # hangs. jobs=3 directly (worker_count would clamp it) gives two workers.
     script = (
         "import multiprocessing\n"
         "from egfrac import _pool\n"
@@ -1064,3 +1066,40 @@ def test_ctrl_c_ends_a_pooled_sweep(lines_before):
     assert b"KeyboardInterrupt" in err
     with pytest.raises(ProcessLookupError):  # no worker left in the process group
         os.killpg(proc.pid, 0)
+
+
+# A worker stops when its pipe closes, so a CLI ended by SIGTERM (what
+# `timeout` sends) or SIGKILL leaves none behind, under every start method.
+# The workers hold the CLI's stderr too: EOF on it means all have exited.
+@two_cpus
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=["KILL", "TERM"])
+def test_a_killed_cli_leaves_no_worker(method, signum):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    argv = ["--format", "csv", "verify", "threshold", "--q-max", "3000", "--jobs", "2"]
+    script = (
+        "import multiprocessing, sys\n"
+        f"multiprocessing.set_start_method({method!r}, force=True)\n"
+        "from egfrac.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(), start_new_session=True,
+    ) as proc:
+        try:
+            # the first row comes once the workers run
+            expected = [b"p,q,upsilon,greedy_is_best,unique,ties,losses\n", b"1,2,1,True,True,,\n"]
+            assert [proc.stdout.readline() for _ in expected] == expected
+            os.kill(proc.pid, signum)  # the CLI alone, not its group
+            _, err = proc.communicate(timeout=10)
+            assert b"Traceback" not in err, err[-500:]
+            # init reaps the orphaned workers, not always at once
+            with pytest.raises(ProcessLookupError):
+                for _ in range(100):
+                    os.killpg(proc.pid, 0)
+                    time.sleep(0.1)
+        finally:
+            with suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
