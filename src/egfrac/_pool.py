@@ -30,14 +30,17 @@ from .errors import DomainError
 
 
 def worker_count(jobs: int) -> int:
-    """A validated ``jobs`` value: at least 1, at most this host's CPU count.
+    """A validated ``jobs`` value: at least 1, at most the CPUs this process may use.
 
     More workers than CPUs only adds process start-up and memory, so a
-    larger request is clamped instead of honoured.
+    larger request is clamped instead of honoured. The CPUs are those of
+    the process's affinity mask where the platform has one (``taskset``,
+    a container's cpuset), else the host's count.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux and some Unixes
+    return min(jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 # chunks per job in the window: sent to a worker or computed by the caller,

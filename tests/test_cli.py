@@ -1,6 +1,7 @@
 """CLI contract: subcommands, output schemas, exit codes, determinism."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -848,7 +849,16 @@ def test_jobs_below_one_is_a_domain_error(capsys, suite, jobs):
 
 
 def test_worker_count_clamps_to_cpu_count(monkeypatch):
+    # the affinity mask, where there is one, wins over the host's count
+    monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(_pool.os, "cpu_count", lambda: 8)
+    assert [_pool.worker_count(j) for j in (1, 2, 3, 10_000)] == [1, 2, 2, 2]
+    # `taskset -c 0` on a 2-CPU host
+    monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(_pool.os, "cpu_count", lambda: 2)
+    assert _pool.worker_count(2) == 1
+    # without an affinity call, the host's count, or 1 when it is unknown
+    monkeypatch.delattr(_pool.os, "sched_getaffinity")
     assert [_pool.worker_count(j) for j in (1, 2, 3, 10_000)] == [1, 2, 2, 2]
     monkeypatch.setattr(_pool.os, "cpu_count", lambda: None)
     assert _pool.worker_count(8) == 1
@@ -928,6 +938,27 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
+def test_a_program_run_freezes_its_start_up_heap(capsys):
+    # main() with no argv is the program: it freezes the heap and leaves
+    # the collector on
+    script = (
+        "import gc, sys; from egfrac.cli import main; code = main(); "
+        "print(gc.get_freeze_count(), gc.isenabled(), file=sys.stderr); sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "upsilon", "7", "54"],
+        env=_cli_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    frozen, enabled = proc.stderr.split()
+    assert int(frozen) > 0 and enabled == "True"
+    # an in-process call with argv prints the same and freezes nothing
+    before = gc.get_freeze_count()
+    code, out, _ = run_cli(capsys, "upsilon", "7", "54")
+    assert code == 0 and out == proc.stdout
+    assert gc.get_freeze_count() == before
+
+
 # what start-up must not import: dataclasses pulls in inspect and ast,
 # concurrent.futures pulls in logging
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "concurrent.futures", "logging")
@@ -961,7 +992,7 @@ def _modules_loaded_by(code: str) -> set:
 
 
 def test_start_up_imports_stay_light():
-    loaded = _modules_loaded_by("import egfrac.cli")
+    loaded = _modules_loaded_by("import egfrac.cli\nimport gc\nassert gc.get_freeze_count() == 0")
     assert "egfrac.cli" in loaded
     assert loaded.isdisjoint(HEAVY_MODULES), sorted(loaded & set(HEAVY_MODULES))
     # json threshold runs alone spool their rows to a temporary file
@@ -977,11 +1008,11 @@ def test_start_up_imports_stay_light():
     loaded = _modules_loaded_by(
         f"from egfrac.cli import main\nassert main({argv + ['--jobs', '2']!r}) == 0"
     )
-    assert "multiprocessing" in loaded or (os.cpu_count() or 1) < 2
+    assert "multiprocessing" in loaded or _pool.worker_count(2) < 2
     assert loaded.isdisjoint({"concurrent.futures", "logging"}), loaded
 
 
-two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+two_cpus = pytest.mark.skipif(_pool.worker_count(2) < 2, reason="--jobs 2 needs two CPUs")
 
 
 @two_cpus
