@@ -7,10 +7,12 @@ lp1, lp11, lp12 and lp50 are one floor inequality with offset c (2 for
 lp1, 3 for the others), written once in ``_offset_point``; one lemma
 point is one ``lp*_point`` call (lp12 is ``lp11_point`` at q = 61,
 u = 8, v = 1), and ``_offset_tie(c, ...)`` decides, at the few points
-where a kernel fails, whether the two sides are equal. The kernels take
-a point in the box coordinates of the sweeps: the quotient k with
-q + c = k*u, and t = q*u + v. Since s(q + c) + cu = u(sk + c), u cancels
-from the floor side, which becomes floor(q(u + s)/(sk + c)).
+where a kernel fails, whether the two sides are equal. A lemma kernel
+takes its point as ``(l, s, cb, b, t)``: the floor side plus one,
+l = floor(q(u + s)/(sk + c)) + 1 with q + c = k*u, then b = u(u + s),
+cb = c*b and t = q*u + v. Only t depends on v, so a sweep forms l, b
+and cb once per (q, s) and t once per (q, v), and the kernel is the one
+comparison left for each point.
 Everything here is integer-only (floors via integer division,
 comparisons via cross-multiplication), so a sweep over millions of
 points never allocates a Fraction, and every function is exact for
@@ -108,26 +110,29 @@ def two_term_scan(
     return e_num, e_den, pairs, x, 0, True
 
 
-def _offset_point(c: int):
-    """The point check of the divisor-offset-c floor inequality.
-
-    The returned ``point(q, k, u, s, t)`` decides
+def _offset_point():
+    """A point check of the divisor-offset-c floor inequality
 
         floor(q*u*(u+s) / (s*(q+c) + c*u)) > (qu+v)*u*(u+s) / (squ+vs+cu(u+s)) - 1
 
-    exactly, by cross-multiplication, at the point (q, u, s, v) given in
-    box coordinates: q + c = k*u for an integer k >= 1, and t = q*u + v.
-    There s*(q+c) + c*u = s*k*u + c*u = u*(s*k + c), so u cancels from
-    the floor side, which is floor(q*(u+s) / (s*k + c)). With
-    b = u(u+s) the right side is t*b / (s*t + c*b). The domain is not
-    checked: off the lattice q + c = k*u the verdict is not the lemma's.
+    at a point (q, u, s, v) of the lattice q + c = k*u, k >= 1 an integer.
+    The returned ``point(l, s, cb, b, t)`` takes the point's v-free terms
+    ready-made: l = floor(q*(u+s) / (s*k + c)) + 1, b = u*(u+s) and
+    cb = c*b, and t = q*u + v. It decides ``l * (s*t + cb) > t*b``.
+
+    That is the lemma's verdict: on the lattice s*(q+c) + c*u =
+    s*k*u + c*u = u*(s*k + c), so u cancels from the floor side, which is
+    floor(q*(u+s) / (s*k + c)) = l - 1. The right side is
+    t*b / (s*t + cb), since squ + vs = s*t, so the inequality is
+    l - 1 > t*b/(s*t + cb) - 1, and s*t + cb > 0 clears the denominator
+    exactly. Nothing is checked: arguments that are not those of a
+    lattice point give a verdict that is not the lemma's. The offset c
+    enters only through cb, so one factory serves every offset; each
+    call makes a distinct function object, one per box lemma.
     """
 
-    def point(q: int, k: int, u: int, s: int, t: int) -> bool:
-        w = u + s
-        b = u * w
-        lhs = q * w // (s * k + c)
-        return (lhs + 1) * (s * t + c * b) > t * b
+    def point(l: int, s: int, cb: int, b: int, t: int) -> bool:
+        return l * (s * t + cb) > t * b
 
     return point
 
@@ -146,6 +151,6 @@ def _offset_tie(c: int, q: int, u: int, s: int, v: int) -> bool:
 
 
 # One function object per box lemma, so a caller can count each lemma's calls.
-lp1_point = _offset_point(2)
-lp11_point = _offset_point(3)
-lp50_point = _offset_point(3)  # lp11 at s = 1, v = 3
+lp1_point = _offset_point()  # c = 2
+lp11_point = _offset_point()  # c = 3
+lp50_point = _offset_point()  # lp11 at s = 1, v = 3

@@ -24,12 +24,15 @@ Each box point is one ``_backend`` kernel call, looked up from
 ``_backend`` when a u is scanned, so call counts equal the points
 checked. The box is walked in (u, k) coordinates: for each u the q are
 q = k*u - c for k = least, least + 1, ... up to q_max, and the points
-are counted per u as len(qs) * len(vs) * len(ss). A kernel is called
-with (q, k, u, s, t), where q + c = k*u and t = q*u + v: t is formed
-once per (q, v), not once per s, and the kernel's floor side uses
-s(q + c) + cu = u(sk + c) to cancel u. With ``jobs > 1`` the u-range is
-split across workers; per-u results are added up as they arrive and the
-failures sorted, so worker count never changes output content.
+are counted per u as len(qs) * len(vs) * len(ss). Inside a u the walk
+streams: per q it forms the few t = q*u + v; per (q, s) it forms the
+v-free terms of the inequality, b = u(u + s), cb = c*b and the floor
+side plus one, l = floor(q(u + s)/(sk + c)) + 1 (on the lattice
+s(q + c) + cu = u(sk + c), so u cancels); per point it calls the kernel
+with (l, s, cb, b, t), innermost over v. No list grows with q_max or u.
+With ``jobs > 1`` the u-range is split across workers; per-u results are
+added up as they arrive and the failures sorted, so worker count never
+changes output content.
 
 ``verify_lp12`` checks the offset-3 inequality at (q, u, v) = (61, 8, 1)
 for every s >= 1: it holds except at s = 155, where both sides equal 7
@@ -70,10 +73,11 @@ _BOXES = {
 def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, int, int]]]:
     """Points checked at u, and the failing (q, u, s, v).
 
-    The q of u are q = k*u - c for k >= the least quotient, up to q_max.
-    s is the inner loop, over the longer range: one loop setup per v
-    rather than per s makes the scan as fast as calls written out per v.
-    The kernel gets each point as (q, k, u, s, t) with t = q*u + v.
+    The q of u are q = k*u - c for k >= the least quotient, up to q_max,
+    walked one at a time. Per q the scan forms t = q*u + v for each v;
+    per (q, s) it forms b = u(u + s), cb = c*b and
+    l = floor(q(u + s)/(sk + c)) + 1, the terms that do not depend on v;
+    per point, v innermost, it makes one kernel call (l, s, cb, b, t).
     """
     name, c, least, s_values, vs, _ = _BOXES[lemma]
     point = getattr(_backend, name)
@@ -81,11 +85,16 @@ def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, i
     ss = range(1, u) if s_values is None else s_values
     failures = []
     for k, q in enumerate(qs, least):
-        for v in vs:
-            t = q * u + v
-            for s in ss:
-                if not point(q, k, u, s, t):
-                    failures.append((q, u, s, v))
+        qu = q * u
+        ts = [qu + v for v in vs]
+        for s in ss:
+            w = u + s
+            b = u * w
+            cb = c * b
+            l = q * w // (s * k + c) + 1
+            for t in ts:
+                if not point(l, s, cb, b, t):
+                    failures.append((q, u, s, t - qu))
     return len(qs) * len(vs) * len(ss), failures
 
 
@@ -160,7 +169,8 @@ def verify_lp50(q_max: int, jobs: int = 1) -> VerificationReport:
 def verify_lp12() -> VerificationReport:
     """Verify floor(61(8+s)/(8s+3)) > 3912(8+s)/(513s+192) - 1 for every
     s >= 1 except s = 155: ``lp11_point`` at (q, u, v) = (61, 8, 1),
-    that is at k = (61 + 3)/8 = 8 and t = 61*8 + 1 = 489.
+    that is at k = (61 + 3)/8 = 8 and t = 61*8 + 1 = 489, with
+    l = floor(61(8+s)/(8s+3)) + 1 and b = 8(8+s).
 
     Points 1 <= s <= 154 are checked exactly. At s = 155 both sides equal
     7 and the strict inequality fails; the verdict is recorded as an
@@ -170,10 +180,15 @@ def verify_lp12() -> VerificationReport:
     because 192s - 29760 > 0; all three linear forms are checked at
     s = 156 and have positive slope, which covers the whole tail.
     """
+
+    def holds(s):
+        b = 8 * (8 + s)
+        return _backend.lp11_point(61 * (8 + s) // (8 * s + 3) + 1, s, 3 * b, b, 489)
+
     observations = [
         {
             "s": 155,
-            "holds": _backend.lp11_point(61, 8, 8, 155, 489),
+            "holds": holds(155),
             "equality": _backend._offset_tie(3, 61, 8, 155, 1),
             "floor_value": (61 * (8 + 155)) // (8 * 155 + 3),
         }
@@ -181,7 +196,7 @@ def verify_lp12() -> VerificationReport:
 
     def verdicts():
         for s in range(1, 155):
-            yield (s,), _backend.lp11_point(61, 8, 8, s, 489)
+            yield (s,), holds(s)
         # tail argument: each linear form positive at s = 156 with positive slope
         for name, slope, intercept in (
             ("3s-464", 3, -464),

@@ -476,15 +476,20 @@ def test_phi_samples_streamed_equals_the_list_form(capsys, fmt, denom):
     assert out == _phi_samples_as_lists(fmt, denom)
 
 
-def _tail_under_data_limit(tmp_path, argv):
-    """The last 40 bytes ``main(argv)`` writes in a child limited to 48 MB of data."""
+def _under_data_limit(argv):
+    """A ``python -c`` script that runs ``main(argv)`` limited to 48 MB of data."""
     limit = 48 << 20
-    script = (
+    return (
         "import resource, sys\n"
         f"resource.setrlimit(resource.RLIMIT_DATA, ({limit}, {limit}))\n"
         "from egfrac.cli import main\n"
         f"sys.exit(main({argv!r}))\n"
     )
+
+
+def _tail_under_data_limit(tmp_path, argv):
+    """The last 40 bytes ``main(argv)`` writes in a child limited to 48 MB of data."""
+    script = _under_data_limit(argv)
     out_path = tmp_path / "out"
     with open(out_path, "wb") as out:
         proc = subprocess.run([sys.executable, "-c", script], env=_cli_env(), stdout=out,
@@ -511,6 +516,23 @@ def test_threshold_json_runs_in_bounded_memory(tmp_path):
     for q_max in (1000, 2000):
         tail = _tail_under_data_limit(tmp_path, ["verify", "threshold", "--q-max", str(q_max)])
         assert tail.endswith(b'"losses": []\n    }\n  ]\n}\n'), q_max
+
+
+# A lemma sweep walks the q of each u one at a time: with a list of the q
+# of a u (5 * 10**11 of them at u = 2), this run ends in MemoryError at once.
+def test_a_hostile_q_max_lemma_sweep_runs_in_flat_memory(tmp_path):
+    argv = ["--format", "plain", "verify", "lp1", "--q-max", str(10**12)]
+    with open(tmp_path / "err", "w+b") as err:
+        proc = subprocess.Popen([sys.executable, "-c", _under_data_limit(argv)], env=_cli_env(),
+                                stdout=subprocess.DEVNULL, stderr=err)
+        try:
+            time.sleep(3)
+            code = proc.poll()
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        err.seek(0)
+        assert (code, err.read()[-2000:]) == (None, b"")
 
 
 def test_plain_format(capsys):

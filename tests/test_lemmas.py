@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -13,10 +14,26 @@ import oracles
 
 
 def _at(c, q, u, s, v):
-    """The box coordinates (q, k, u, s, t) of the lemma point (q, u, s, v)."""
+    """The kernel arguments (l, s, cb, b, t) of the offset-c lemma point (q, u, s, v)."""
     k, r = divmod(q + c, u)
     assert r == 0, (c, q, u)
-    return q, k, u, s, q * u + v
+    b = u * (u + s)
+    return q * (u + s) // (s * k + c) + 1, s, c * b, b, q * u + v
+
+
+def _point(c, *args):
+    """The box point (q, u, s, v) with v <= 3 whose offset-c kernel arguments are ``args``.
+
+    b = u(u + s) gives u = (isqrt(s^2 + 4b) - s)/2, then t = q*u + v gives
+    the one (q, v) with u | q + c; ``args`` must be exactly ``_at``'s.
+    """
+    _, s, _, b, t = args
+    u = (isqrt(s * s + 4 * b) - s) // 2
+    [(q, v)] = [
+        (q, v) for v in (1, 2, 3) for q, r in [divmod(t - v, u)] if r == 0 and (q + c) % u == 0
+    ]
+    assert _at(c, q, u, s, v) == args, (c, args)
+    return q, u, s, v
 
 
 def test_lp1_sweep_clean():
@@ -151,12 +168,12 @@ def test_a_failing_point_is_reported_by_its_q_u(capsys, monkeypatch, suite, poin
 def test_a_kernel_that_holds_at_an_expected_failure_fails_the_sweep(
     capsys, monkeypatch, suite, holds_at
 ):
-    name = lemmas._BOXES[suite][0]
+    name, c = lemmas._BOXES[suite][:2]
     kernel = getattr(_backend, name)
     if holds_at == "everywhere":
         monkeypatch.setattr(_backend, name, lambda *p: True)
     else:
-        monkeypatch.setattr(_backend, name, lambda *p: (p[0], p[2]) == (17, 2) or kernel(*p))
+        monkeypatch.setattr(_backend, name, lambda *p: _point(c, *p)[:2] == (17, 2) or kernel(*p))
     assert not getattr(lemmas, f"verify_{suite}")(100).passed
     code = cli.main(["--format", "plain", "verify", suite, "--q-max", "100"])
     assert code == cli.EXIT_VERIFY_FAILED
@@ -227,8 +244,8 @@ def _offset2_tie_by_fractions(q, u, s, v):
 
 
 def test_kernels_match_the_unshared_formulas():
-    # the kernels cancel u from the floor side and share b = u(u+s) and
-    # t = qu+v between the two sides
+    # the kernels take the floor side ready-made, with u cancelled, and
+    # share b = u(u+s), c*b and t = qu+v between the two sides
     verdicts = set()
     for q, u in oracles.lemma_box(400, 2, 3):
         for s in range(1, u):
@@ -333,11 +350,10 @@ def test_kernels_are_asked_about_exactly_the_box(monkeypatch):
     for suite, (name, offset, *_) in _KERNELS.items():
         kernel = getattr(_backend, name)
 
-        def recorder(*point, kernel=kernel, seen=calls[suite], c=offset):
-            q, k, u, s, t = point
-            assert q + c == k * u, point
-            seen.append((q, u, s, t - q * u))
-            return kernel(*point)
+        # _point also checks that l, b and cb are the point's own
+        def recorder(*args, kernel=kernel, seen=calls[suite], c=offset):
+            seen.append(_point(c, *args))
+            return kernel(*args)
 
         monkeypatch.setattr(_backend, name, recorder)
     for q_max in [*range(5, 131), 200]:
@@ -352,9 +368,7 @@ def test_kernels_are_asked_about_exactly_the_box(monkeypatch):
 
 def test_a_failing_lp12_point_is_reported(capsys, monkeypatch):
     real = _backend.lp11_point
-    monkeypatch.setattr(
-        _backend, "lp11_point", lambda q, k, u, s, t: s != 7 and real(q, k, u, s, t)
-    )
+    monkeypatch.setattr(_backend, "lp11_point", lambda *p: _point(3, *p)[2] != 7 and real(*p))
     report = lemmas.verify_lp12()
     assert report.failures == [(7,)] and report.points_checked == 158
     assert [(o["s"], o["holds"]) for o in report.observations] == [(155, False)]
