@@ -8,10 +8,11 @@ lp1, 3 for the others), written once in ``_offset_point``; one lemma
 point is one ``lp*_point`` call (lp12 is ``lp11_point`` at q = 61,
 u = 8, v = 1), and ``_offset_tie(c, ...)`` decides, at the few points
 where a kernel fails, whether the two sides are equal. A lemma kernel
-takes its point as ``(l, s, cb, b, t)``: the floor side plus one,
-l = floor(q(u + s)/(sk + c)) + 1 with q + c = k*u, then b = u(u + s),
-cb = c*b and t = q*u + v. Only t depends on v, so a sweep forms l, b
-and cb once per (q, s) and t once per (q, v), and the kernel is the one
+takes its point as ``(lcb, m, t)`` and decides lcb > t*m: with the
+floor side plus one l = floor(q(u + s)/(sk + c)) + 1, where q + c = k*u,
+and b = u(u + s), the v-free terms are lcb = l*c*b and m = b - l*s, and
+t = q*u + v. Only t depends on v, so a sweep forms lcb and m once per
+(q, s) and t once per (q, v), and the kernel is the one product and
 comparison left for each point.
 Everything here is integer-only (floors via integer division,
 comparisons via cross-multiplication), so a sweep over millions of
@@ -116,23 +117,30 @@ def _offset_point():
         floor(q*u*(u+s) / (s*(q+c) + c*u)) > (qu+v)*u*(u+s) / (squ+vs+cu(u+s)) - 1
 
     at a point (q, u, s, v) of the lattice q + c = k*u, k >= 1 an integer.
-    The returned ``point(l, s, cb, b, t)`` takes the point's v-free terms
-    ready-made: l = floor(q*(u+s) / (s*k + c)) + 1, b = u*(u+s) and
-    cb = c*b, and t = q*u + v. It decides ``l * (s*t + cb) > t*b``.
+    The returned ``point(lcb, m, t)`` takes the point's v-free terms
+    ready-made: with l = floor(q*(u+s) / (s*k + c)) + 1 and b = u*(u+s),
+    lcb = l*c*b and m = b - l*s; and t = q*u + v. It decides
+    ``lcb > t * m``.
 
     That is the lemma's verdict: on the lattice s*(q+c) + c*u =
     s*k*u + c*u = u*(s*k + c), so u cancels from the floor side, which is
     floor(q*(u+s) / (s*k + c)) = l - 1. The right side is
-    t*b / (s*t + cb), since squ + vs = s*t, so the inequality is
-    l - 1 > t*b/(s*t + cb) - 1, and s*t + cb > 0 clears the denominator
-    exactly. Nothing is checked: arguments that are not those of a
-    lattice point give a verdict that is not the lemma's. The offset c
-    enters only through cb, so one factory serves every offset; each
-    call makes a distinct function object, one per box lemma.
+    t*b / (s*t + c*b), since squ + vs = s*t, so the inequality is
+    l - 1 > t*b/(s*t + c*b) - 1, and s*t + c*b > 0 clears the denominator
+    exactly:
+
+        l*(s*t + c*b) > t*b  <=>  l*c*b > t*b - l*s*t = t*(b - l*s),
+
+    an identity in integers, for every sign of m = b - l*s. Since
+    lcb > 0, the point holds for every v >= 1 when m <= 0, and when m > 0
+    the largest t is the hardest. Nothing is checked: arguments that are
+    not those of a lattice point give a verdict that is not the lemma's.
+    The offset c enters only through lcb, so one factory serves every
+    offset; each call makes a distinct function object, one per box lemma.
     """
 
-    def point(l: int, s: int, cb: int, b: int, t: int) -> bool:
-        return l * (s * t + cb) > t * b
+    def point(lcb: int, m: int, t: int) -> bool:
+        return lcb > t * m
 
     return point
 
@@ -142,12 +150,12 @@ def _offset_tie(c: int, q: int, u: int, s: int, v: int) -> bool:
 
     Private, so it is not counted as a kernel: it runs only at the points
     where an ``lp*_point`` kernel fails, so it takes the point as
-    (q, u, s, v) and keeps u in the floor side.
+    (q, u, s, v) and keeps u in the floor side. It decides
+    ``l*c*b == t*(b - l*s)``, the kernel's comparison with equality.
     """
     b = u * (u + s)
-    t = q * u + v
-    lhs = q * b // (s * (q + c) + c * u)
-    return (lhs + 1) * (s * t + c * b) == t * b
+    l = q * b // (s * (q + c) + c * u) + 1
+    return l * c * b == (q * u + v) * (b - l * s)
 
 
 # One function object per box lemma, so a caller can count each lemma's calls.

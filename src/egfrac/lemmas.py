@@ -26,10 +26,12 @@ checked. The box is walked in (u, k) coordinates: for each u the q are
 q = k*u - c for k = least, least + 1, ... up to q_max, and the points
 are counted per u as len(qs) * len(vs) * len(ss). Inside a u the walk
 streams: per q it forms the few t = q*u + v; per (q, s) it forms the
-v-free terms of the inequality, b = u(u + s), cb = c*b and the floor
-side plus one, l = floor(q(u + s)/(sk + c)) + 1 (on the lattice
-s(q + c) + cu = u(sk + c), so u cancels); per point it calls the kernel
-with (l, s, cb, b, t), innermost over v. No list grows with q_max or u.
+v-free terms of the inequality from b = u(u + s) and the floor side
+plus one, l = floor(q(u + s)/(sk + c)) + 1 (on the lattice
+s(q + c) + cu = u(sk + c), so u cancels): lcb = l*c*b and m = b - l*s;
+per point it calls the kernel with (lcb, m, t), innermost over v, which
+decides l*(s*t + c*b) > t*b rearranged as lcb > t*m. No list grows with
+q_max or u.
 With ``jobs > 1`` the u-range is split across workers; per-u results are
 added up as they arrive and the failures sorted, so worker count never
 changes output content.
@@ -75,9 +77,10 @@ def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, i
 
     The q of u are q = k*u - c for k >= the least quotient, up to q_max,
     walked one at a time. Per q the scan forms t = q*u + v for each v;
-    per (q, s) it forms b = u(u + s), cb = c*b and
-    l = floor(q(u + s)/(sk + c)) + 1, the terms that do not depend on v;
-    per point, v innermost, it makes one kernel call (l, s, cb, b, t).
+    per (q, s) it forms, from b = u(u + s) and
+    l = floor(q(u + s)/(sk + c)) + 1, the terms that do not depend on v,
+    lcb = l*c*b and m = b - l*s; per point, v innermost, it makes one
+    kernel call (lcb, m, t).
     """
     name, c, least, s_values, vs, _ = _BOXES[lemma]
     point = getattr(_backend, name)
@@ -90,10 +93,11 @@ def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, i
         for s in ss:
             w = u + s
             b = u * w
-            cb = c * b
             l = q * w // (s * k + c) + 1
+            lcb = l * c * b
+            m = b - l * s
             for t in ts:
-                if not point(l, s, cb, b, t):
+                if not point(lcb, m, t):
                     failures.append((q, u, s, t - qu))
     return len(qs) * len(vs) * len(ss), failures
 
@@ -170,7 +174,8 @@ def verify_lp12() -> VerificationReport:
     """Verify floor(61(8+s)/(8s+3)) > 3912(8+s)/(513s+192) - 1 for every
     s >= 1 except s = 155: ``lp11_point`` at (q, u, v) = (61, 8, 1),
     that is at k = (61 + 3)/8 = 8 and t = 61*8 + 1 = 489, with
-    l = floor(61(8+s)/(8s+3)) + 1 and b = 8(8+s).
+    l = floor(61(8+s)/(8s+3)) + 1 and b = 8(8+s), so each s is the
+    kernel call (3*l*b, b - l*s, 489).
 
     Points 1 <= s <= 154 are checked exactly. At s = 155 both sides equal
     7 and the strict inequality fails; the verdict is recorded as an
@@ -183,7 +188,8 @@ def verify_lp12() -> VerificationReport:
 
     def holds(s):
         b = 8 * (8 + s)
-        return _backend.lp11_point(61 * (8 + s) // (8 * s + 3) + 1, s, 3 * b, b, 489)
+        l = 61 * (8 + s) // (8 * s + 3) + 1
+        return _backend.lp11_point(3 * l * b, b - l * s, 489)
 
     observations = [
         {

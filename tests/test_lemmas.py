@@ -2,8 +2,8 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -14,26 +14,42 @@ import oracles
 
 
 def _at(c, q, u, s, v):
-    """The kernel arguments (l, s, cb, b, t) of the offset-c lemma point (q, u, s, v)."""
+    """The kernel arguments (lcb, m, t) of the offset-c lemma point (q, u, s, v)."""
     k, r = divmod(q + c, u)
     assert r == 0, (c, q, u)
     b = u * (u + s)
-    return q * (u + s) // (s * k + c) + 1, s, c * b, b, q * u + v
+    l = q * (u + s) // (s * k + c) + 1
+    return l * c * b, b - l * s, q * u + v
 
 
-def _point(c, *args):
-    """The box point (q, u, s, v) with v <= 3 whose offset-c kernel arguments are ``args``.
+# suite -> (kernel, offset, least quotient, v values); lp50 has s = 1, v = 3
+_KERNELS = {
+    "lp1": ("lp1_point", 2, 3, (1, 2)),
+    "lp11": ("lp11_point", 3, 4, (1, 2, 3)),
+    "lp50": ("lp50_point", 3, 4, (3,)),
+}
 
-    b = u(u + s) gives u = (isqrt(s^2 + 4b) - s)/2, then t = q*u + v gives
-    the one (q, v) with u | q + c; ``args`` must be exactly ``_at``'s.
+
+def _box_points(suite, q_max):
+    """The (q, u, s, v) of a suite's box, with (q, u) by trial division."""
+    _, offset, least, vs = _KERNELS[suite]
+    for q, u in oracles.lemma_box(q_max, offset, least):
+        for s in (1,) if suite == "lp50" else range(1, u):
+            for v in vs:
+                yield q, u, s, v
+
+
+def _points_by_args(suite, q_max):
+    """The box point of each kernel argument triple of a suite's box.
+
+    The triples are distinct at the sizes the tests use (q_max <= 200),
+    which is asserted; at q_max = 600 a few of them collide.
     """
-    _, s, _, b, t = args
-    u = (isqrt(s * s + 4 * b) - s) // 2
-    [(q, v)] = [
-        (q, v) for v in (1, 2, 3) for q, r in [divmod(t - v, u)] if r == 0 and (q + c) % u == 0
-    ]
-    assert _at(c, q, u, s, v) == args, (c, args)
-    return q, u, s, v
+    c = _KERNELS[suite][1]
+    box = list(_box_points(suite, q_max))
+    lookup = {_at(c, *point): point for point in box}
+    assert len(lookup) == len(box), (suite, q_max)
+    return lookup
 
 
 def test_lp1_sweep_clean():
@@ -168,12 +184,13 @@ def test_a_failing_point_is_reported_by_its_q_u(capsys, monkeypatch, suite, poin
 def test_a_kernel_that_holds_at_an_expected_failure_fails_the_sweep(
     capsys, monkeypatch, suite, holds_at
 ):
-    name, c = lemmas._BOXES[suite][:2]
+    name = lemmas._BOXES[suite][0]
     kernel = getattr(_backend, name)
     if holds_at == "everywhere":
         monkeypatch.setattr(_backend, name, lambda *p: True)
     else:
-        monkeypatch.setattr(_backend, name, lambda *p: _point(c, *p)[:2] == (17, 2) or kernel(*p))
+        points = _points_by_args(suite, 100)
+        monkeypatch.setattr(_backend, name, lambda *p: points[p][:2] == (17, 2) or kernel(*p))
     assert not getattr(lemmas, f"verify_{suite}")(100).passed
     code = cli.main(["--format", "plain", "verify", suite, "--q-max", "100"])
     assert code == cli.EXIT_VERIFY_FAILED
@@ -244,8 +261,8 @@ def _offset2_tie_by_fractions(q, u, s, v):
 
 
 def test_kernels_match_the_unshared_formulas():
-    # the kernels take the floor side ready-made, with u cancelled, and
-    # share b = u(u+s), c*b and t = qu+v between the two sides
+    # the kernels take the floor side ready-made, with u cancelled, inside
+    # lcb = l*c*b and m = b - l*s, and decide l*(s*t + c*b) > t*b as lcb > t*m
     verdicts = set()
     for q, u in oracles.lemma_box(400, 2, 3):
         for s in range(1, u):
@@ -310,6 +327,49 @@ def test_kernels_are_exact_at_large_box_points():
                 assert kernel(*_at(c, *point)) == oracle(*point), (c, point)
 
 
+def _unrearranged(c, q, u, s, v):
+    """The offset-c verdict l*(s*t + c*b) > t*b, before it is rearranged."""
+    k = (q + c) // u
+    b = u * (u + s)
+    l = q * (u + s) // (s * k + c) + 1
+    t = q * u + v
+    return l * (s * t + c * b) > t * b
+
+
+def test_the_rearranged_kernel_is_exact_for_every_sign_of_m():
+    # l*(s*t + c*b) > t*b  <=>  l*c*b > t*(b - l*s) in integers, so the kernel
+    # agrees with the old form and the unshared formulas whatever the sign
+    # of m = b - l*s
+    for suite, oracle in (("lp1", oracles.lp1_point), ("lp11", oracles.lp11_point)):
+        name, c = _KERNELS[suite][:2]
+        kernel = getattr(_backend, name)
+        signs = Counter()
+        for point in _box_points(suite, 200):
+            lcb, m, t = _at(c, *point)
+            signs[(m > 0) - (m < 0)] += 1
+            assert kernel(lcb, m, t) == _unrearranged(c, *point) == oracle(*point), (suite, point)
+        assert set(signs) == {-1, 0, 1}, (suite, signs)
+    # q near 10**30 with u small: the floor side is just under b/s, so m is
+    # 0 where s divides b and negative elsewhere, and every v holds
+    rng = random.Random(20261020)
+    signs = Counter()
+    for _ in range(2000):
+        u = rng.randint(2, 10 ** rng.randint(1, 3))
+        s = rng.randint(1, u - 1)
+        for c, kernel, oracle, vs in (
+            (2, lp1_point, oracles.lp1_point, (1, 2)),
+            (3, lp11_point, oracles.lp11_point, (1, 2, 3)),
+        ):
+            q = (10**30 // u + rng.randint(0, 10**6)) * u - c
+            for v in vs:
+                point = (q, u, s, v)
+                lcb, m, t = _at(c, *point)
+                assert m <= 0, (c, point)
+                signs[m == 0] += 1
+                assert kernel(lcb, m, t) and _unrearranged(c, *point) and oracle(*point), (c, point)
+    assert signs[True] > 100 and signs[False] > 100
+
+
 @pytest.mark.parametrize("q_max", [5, 17, 61, 200])
 def test_points_checked_is_the_box_size(q_max):
     # counted point by point, not per u as the sweeps count
@@ -328,31 +388,13 @@ def test_points_checked_is_the_box_size(q_max):
         assert lemmas.verify_lp1(4).points_checked == 2
 
 
-# suite -> (kernel, offset, least quotient, v values); lp50 has s = 1, v = 3
-_KERNELS = {
-    "lp1": ("lp1_point", 2, 3, (1, 2)),
-    "lp11": ("lp11_point", 3, 4, (1, 2, 3)),
-    "lp50": ("lp50_point", 3, 4, (3,)),
-}
-
-
-def _box_points(suite, q_max):
-    """The (q, u, s, v) of a suite's box, with (q, u) by trial division."""
-    _, offset, least, vs = _KERNELS[suite]
-    for q, u in oracles.lemma_box(q_max, offset, least):
-        for s in (1,) if suite == "lp50" else range(1, u):
-            for v in vs:
-                yield q, u, s, v
-
-
 def test_kernels_are_asked_about_exactly_the_box(monkeypatch):
-    calls = {suite: [] for suite in _KERNELS}
-    for suite, (name, offset, *_) in _KERNELS.items():
+    calls = {suite: Counter() for suite in _KERNELS}
+    for suite, (name, *_) in _KERNELS.items():
         kernel = getattr(_backend, name)
 
-        # _point also checks that l, b and cb are the point's own
-        def recorder(*args, kernel=kernel, seen=calls[suite], c=offset):
-            seen.append(_point(c, *args))
+        def recorder(*args, kernel=kernel, seen=calls[suite]):
+            seen[args] += 1
             return kernel(*args)
 
         monkeypatch.setattr(_backend, name, recorder)
@@ -362,16 +404,33 @@ def test_kernels_are_asked_about_exactly_the_box(monkeypatch):
             report = getattr(lemmas, f"verify_{suite}")(q_max, jobs=1)
             box = list(_box_points(suite, q_max))
             assert len(set(box)) == len(box) == report.points_checked, (suite, q_max)
-            assert sorted(seen) == sorted(box), (suite, q_max)
-
+            # each call's (lcb, m, t) is the one _at forms from its box point
+            c = _KERNELS[suite][1]
+            assert seen == Counter(_at(c, *point) for point in box), (suite, q_max)
 
 
 def test_a_failing_lp12_point_is_reported(capsys, monkeypatch):
     real = _backend.lp11_point
-    monkeypatch.setattr(_backend, "lp11_point", lambda *p: _point(3, *p)[2] != 7 and real(*p))
+
+    def failing_at_7():
+        # s = 8 has s = 7's (lcb, m, t) = (5760, 8, 489), and s = 7 is asked
+        # first, so only the first call with that triple fails
+        pending = [_at(3, 61, 8, 7, 1)]
+
+        def kernel(*p):
+            if p in pending:
+                pending.clear()
+                return False
+            return real(*p)
+
+        return kernel
+
+    assert _at(3, 61, 8, 7, 1) == _at(3, 61, 8, 8, 1) == (5760, 8, 489)
+    monkeypatch.setattr(_backend, "lp11_point", failing_at_7())
     report = lemmas.verify_lp12()
     assert report.failures == [(7,)] and report.points_checked == 158
     assert [(o["s"], o["holds"]) for o in report.observations] == [(155, False)]
+    monkeypatch.setattr(_backend, "lp11_point", failing_at_7())
     code = cli.main(["verify", "lp12"])
     assert code == cli.EXIT_VERIFY_FAILED
     payload = json.loads(capsys.readouterr().out)
