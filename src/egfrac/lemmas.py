@@ -28,10 +28,16 @@ are counted per u as len(qs) * len(vs) * len(ss). Inside a u the walk
 streams: per q it forms the few t = q*u + v; per (q, s) it forms the
 v-free terms of the inequality from b = u(u + s) and the floor side
 plus one, l = floor(q(u + s)/(sk + c)) + 1 (on the lattice
-s(q + c) + cu = u(sk + c), so u cancels): lcb = l*c*b and m = b - l*s;
-per point it calls the kernel with (lcb, m, t), innermost over v, which
-decides l*(s*t + c*b) > t*b rearranged as lcb > t*m. No list grows with
-q_max or u.
+s(q + c) + cu = u(sk + c), so u cancels): lcb = l*c*b and m = b - l*s.
+It forms them by addition, not afresh: l is x // y with
+x = q(u + s) + sk + c and y = sk + c, and from one s to the next x
+grows by q + k, y by k, b by u and c*b by c*u. Each v is then one plain
+kernel call (lcb, m, t), its verdict kept in a local, which decides
+l*(s*t + c*b) > t*b rearranged as lcb > t*m; a failing point is named
+from the kept verdicts, never by a second call. The walk has one loop
+body per v count: three calls per (q, s) for lp11, two for lp1, and one
+per q for lp50, whose single s and v need no inner loop. No list grows
+with q_max or u.
 With ``jobs > 1`` the u-range is split across workers; per-u results are
 added up as they arrive and the failures sorted, so worker count never
 changes output content.
@@ -62,9 +68,12 @@ OFFSET3_EXPECTED_EXCEPTIONS = [(17, 2), (61, 8)]
 
 
 # lemma -> (kernel, offset c, least quotient (q+c)/u, s values, v values,
-# expected failing (q, u)); s values None means 1 <= s < u. The kernel is
-# named, not held, and looked up when a u is scanned, so a kernel replaced
-# on ``_backend`` is the one called.
+# expected failing (q, u)); s values None means 1 <= s < u. ``_scan_u``
+# has a loop body for each v count here: those for two and three v advance
+# their terms from s = 0 one s at a time, so their s run 1, 2, ...; the
+# one for a single v walks its single s. The kernel is named, not held,
+# and looked up when a u is scanned, so a kernel replaced on ``_backend``
+# is the one called.
 _BOXES = {
     "lp1": ("lp1_point", 2, 3, None, (1, 2), []),
     "lp11": ("lp11_point", 3, 4, None, (1, 2, 3), OFFSET3_EXPECTED_EXCEPTIONS),
@@ -76,29 +85,92 @@ def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, i
     """Points checked at u, and the failing (q, u, s, v).
 
     The q of u are q = k*u - c for k >= the least quotient, up to q_max,
-    walked one at a time. Per q the scan forms t = q*u + v for each v;
-    per (q, s) it forms, from b = u(u + s) and
-    l = floor(q(u + s)/(sk + c)) + 1, the terms that do not depend on v,
-    lcb = l*c*b and m = b - l*s; per point, v innermost, it makes one
-    kernel call (lcb, m, t).
+    walked one at a time. Per q the scan forms t = q*u + v for each v.
+    Per (q, s) it forms the terms that do not depend on v by addition,
+    from their values at s = 0: the floor side plus one is
+    l = floor(q(u + s)/(sk + c)) + 1 = x // y with x = q(u + s) + sk + c,
+    which grows by q + k per s, and y = sk + c, which grows by k;
+    b = u(u + s) grows by u and c*b by c*u. Then lcb = l*c*b and
+    m = b - l*s, and each v is one plain kernel call (lcb, m, t) whose
+    verdict is kept, so a failing point is named from the verdicts
+    without a second call. There is one body per v count of ``_BOXES``:
+    three (lp11) and two (lp1) calls per (q, s), and for lp50's single
+    s and v one call per q, with x, y and t advanced per q.
     """
     name, c, least, s_values, vs, _ = _BOXES[lemma]
     point = getattr(_backend, name)
     qs = range(least * u - c, q_max + 1, u)
     ss = range(1, u) if s_values is None else s_values
     failures = []
-    for k, q in enumerate(qs, least):
-        qu = q * u
-        ts = [qu + v for v in vs]
-        for s in ss:
-            w = u + s
-            b = u * w
-            l = q * w // (s * k + c) + 1
-            lcb = l * c * b
-            m = b - l * s
-            for t in ts:
-                if not point(lcb, m, t):
-                    failures.append((q, u, s, t - qu))
+    uu = u * u  # b = u(u + s) at s = 0; q*u grows by u*u per q
+    cuu = c * uu
+    cu = c * u
+    if len(vs) == 3:
+        v1, v2, v3 = vs
+        for k, q in enumerate(qs, least):
+            qu = q * u
+            t1 = qu + v1
+            t2 = qu + v2
+            t3 = qu + v3
+            step = q + k
+            x = qu + c  # x and y at s = 0
+            y = c
+            b = uu
+            cb = cuu
+            for s in ss:
+                x += step
+                y += k
+                b += u
+                cb += cu
+                l = x // y
+                lcb = l * cb
+                m = b - l * s
+                h1 = point(lcb, m, t1)
+                h2 = point(lcb, m, t2)
+                h3 = point(lcb, m, t3)
+                if not (h1 and h2 and h3):
+                    failures += [(q, u, s, v) for v, h in zip(vs, (h1, h2, h3)) if not h]
+    elif len(vs) == 2:
+        v1, v2 = vs
+        for k, q in enumerate(qs, least):
+            qu = q * u
+            t1 = qu + v1
+            t2 = qu + v2
+            step = q + k
+            x = qu + c  # x and y at s = 0
+            y = c
+            b = uu
+            cb = cuu
+            for s in ss:
+                x += step
+                y += k
+                b += u
+                cb += cu
+                l = x // y
+                lcb = l * cb
+                m = b - l * s
+                h1 = point(lcb, m, t1)
+                h2 = point(lcb, m, t2)
+                if not (h1 and h2):
+                    failures += [(q, u, s, v) for v, h in zip(vs, (h1, h2)) if not h]
+    else:
+        (s,) = ss
+        (v,) = vs
+        b = u * (u + s)
+        cb = c * b
+        k = least - 1  # x, y and t at the q before the first
+        q = k * u - c
+        x = q * (u + s) + s * k + c
+        y = s * k + c
+        t = q * u + v
+        dx = b + s  # per q: q(u + s) grows by u(u + s), sk by s
+        for q in qs:
+            x += dx
+            y += s
+            t += uu
+            l = x // y
+            if not point(l * cb, b - l * s, t):
+                failures.append((q, u, s, v))
     return len(qs) * len(vs) * len(ss), failures
 
 

@@ -409,6 +409,65 @@ def test_kernels_are_asked_about_exactly_the_box(monkeypatch):
             assert seen == Counter(_at(c, *point) for point in box), (suite, q_max)
 
 
+@pytest.mark.parametrize("u_at", ["2", "97", "last"])
+@pytest.mark.parametrize("suite", list(_KERNELS))
+def test_the_added_up_terms_match_the_box_at_large_u_and_k(monkeypatch, suite, u_at):
+    # _scan_u advances x, y, b and c*b by addition; at q_max 1500 u = 2
+    # walks 749 q of lp1 (k up to 751), and the last u walks one q with
+    # up to 499 s, so a term that drifts from its definition shows here
+    name, c, least, vs = _KERNELS[suite]
+    q_max = 1500
+    u = {"2": 2, "97": 97, "last": (q_max + c) // least}[u_at]
+    seen = Counter()
+
+    def recorder(*args):
+        seen[args] += 1
+        return True
+
+    monkeypatch.setattr(_backend, name, recorder)
+    points, failures = lemmas._scan_u(suite, q_max, u)
+    box = [
+        (q, u, s, v)
+        for q, w in oracles.lemma_box(q_max, c, least)
+        if w == u
+        for s in ((1,) if suite == "lp50" else range(1, u))
+        for v in vs
+    ]
+    assert points == len(box) == sum(seen.values()) and failures == []
+    assert seen == Counter(_at(c, *point) for point in box), (suite, u)
+
+
+# one admissible point per box, off the expected failures, failed at each v
+@pytest.mark.parametrize(
+    "suite, point",
+    [("lp1", (40, 6, 4, v)) for v in (1, 2)] + [("lp11", (45, 6, 3, v)) for v in (1, 2, 3)],
+)
+def test_a_failure_at_each_v_is_named_without_a_second_call(monkeypatch, suite, point):
+    name, c = lemmas._BOXES[suite][:2]
+    kernel = getattr(_backend, name)
+    at = _at(c, *point)
+    assert _points_by_args(suite, 200)[at] == point and kernel(*at)
+    calls = Counter()
+
+    def failing(*p):
+        calls[p] += 1
+        return p != at and kernel(*p)
+
+    verify = getattr(lemmas, f"verify_{suite}")
+    clean = verify(200, jobs=1)
+    monkeypatch.setattr(_backend, name, failing)
+    report = verify(200, jobs=1)
+    q, u, s, v = point
+    assert report.failures == sorted(clean.failures + [(q, u)]) and not report.passed
+    # the one observation added names the failed point; lp11's own stay as they were
+    observation = {"q": q, "u": u, "s": s, "v": v, "holds": False, "equality": False}
+    assert report.observations == sorted(
+        [*clean.observations, observation], key=lambda o: (o["q"], o["u"], o["s"], o["v"])
+    )
+    # every verdict is kept from its one call: the failure costs no second call
+    assert sum(calls.values()) == report.points_checked and calls[at] == 1
+
+
 def test_a_failing_lp12_point_is_reported(capsys, monkeypatch):
     real = _backend.lp11_point
 
