@@ -4,16 +4,11 @@
 underapproximation search: one call per row of the threshold sweep, and
 one per node at level m - 1 of ``underapprox.best_m_term``. The lemmas
 lp1, lp11, lp12 and lp50 are one floor inequality with offset c (2 for
-lp1, 3 for the others), written once in ``_offset_point``; one lemma
-point is one ``lp*_point`` call (lp12 is ``lp11_point`` at q = 61,
-u = 8, v = 1), and ``_offset_tie(c, ...)`` decides, at the few points
-where a kernel fails, whether the two sides are equal. A lemma kernel
-takes its point as ``(lcb, m, t)`` and decides lcb > t*m: with the
-floor side plus one l = floor(q(u + s)/(sk + c)) + 1, where q + c = k*u,
-and b = u(u + s), the v-free terms are lcb = l*c*b and m = b - l*s, and
-t = q*u + v. Only t depends on v, so a sweep forms lcb and m once per
-(q, s) and t once per (q, v), and the kernel is the one product and
-comparison left for each point.
+lp1, 3 for the others), written once in ``_offset_point``, whose
+docstring derives the kernel from the lemma. One lemma point is one
+``lp*_point`` call (lp12 is ``lp11_point`` at q = 61, u = 8, v = 1) on
+the point's terms (lcb, m, t), and a caller that holds them also reads
+the exact tie from them.
 Everything here is integer-only (floors via integer division,
 comparisons via cross-multiplication), so a sweep over millions of
 points never allocates a Fraction, and every function is exact for
@@ -131,7 +126,9 @@ def _offset_point():
 
         l*(s*t + c*b) > t*b  <=>  l*c*b > t*b - l*s*t = t*(b - l*s),
 
-    an identity in integers, for every sign of m = b - l*s. Since
+    an identity in integers, for every sign of m = b - l*s, and it holds
+    with = in place of >: the two sides tie exactly when lcb == t*m, which
+    a caller that failed a point reads from the same triple. Since
     lcb > 0, the point holds for every v >= 1 when m <= 0, and when m > 0
     the largest t is the hardest. Nothing is checked: arguments that are
     not those of a lattice point give a verdict that is not the lemma's.
@@ -143,19 +140,6 @@ def _offset_point():
         return lcb > t * m
 
     return point
-
-
-def _offset_tie(c: int, q: int, u: int, s: int, v: int) -> bool:
-    """True when the two sides of the offset-c inequality agree exactly.
-
-    Private, so it is not counted as a kernel: it runs only at the points
-    where an ``lp*_point`` kernel fails, so it takes the point as
-    (q, u, s, v) and keeps u in the floor side. It decides
-    ``l*c*b == t*(b - l*s)``, the kernel's comparison with equality.
-    """
-    b = u * (u + s)
-    l = q * b // (s * (q + c) + c * u) + 1
-    return l * c * b == (q * u + v) * (b - l * s)
 
 
 # One function object per box lemma, so a caller can count each lemma's calls.

@@ -449,8 +449,12 @@ def main(argv=None) -> int:
     With ``argv`` None, as the ``egfrac`` script and ``python -m
     egfrac.cli`` call it, ``main`` is the program: it reads ``sys.argv``
     and, before the command runs, moves every object made so far into the
-    collector's permanent generation with ``gc.freeze()``. A caller that
-    passes ``argv`` keeps its collector as it was.
+    collector's permanent generation with ``gc.freeze()``. Every command
+    runs without CPython's limit on the digits of an int -> str
+    conversion, so that denominators up to the 10,000-digit guard print;
+    the program leaves it lifted. A caller that passes ``argv`` keeps its
+    collector as it was and gets its digit limit back when ``main``
+    returns.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -462,10 +466,12 @@ def main(argv=None) -> int:
         # since frozen cyclic garbage would never be freed.
         gc.freeze()
     # Denominators within the digit guard run to 10,000 digits, beyond
-    # CPython's default 4,300-digit limit on int -> str (3.10.7 and later).
-    set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_int_max_str_digits is not None:
-        set_int_max_str_digits(0)
+    # CPython's default 4,300-digit limit on int -> str (3.10.7 and later),
+    # so the command runs without it. The limit guards a long-lived caller
+    # against quadratic conversions, so one that passes argv gets it back.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     target = f"verify {args.suite}" if args.command == "verify" else args.command
     formats = SUITES[args.suite].formats if args.command == "verify" else args.formats
     try:
@@ -493,6 +499,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    finally:
+        if argv is not None and digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ is the one place a box is described, and ``_verify_box`` turns any box
 into its report: the range text is derived from the box, failures are
 the sorted failing (q, u), and each failing point is an observation
 keyed by q, u and the s and v the box varies, with an exact-tie flag
-from ``_backend._offset_tie(c, ...)``. A report passes only when its
-failures are exactly the box's expected (q, u) with q <= q_max, so a
-regression that "fixes" an exceptional point fails the sweep.
+read from the arguments its kernel call judged. A report passes only
+when its failures are exactly the box's expected (q, u) with
+q <= q_max, so a regression that "fixes" an exceptional point fails the
+sweep.
 
 Each box point is one ``_backend`` kernel call, looked up from
 ``_backend`` when a u is scanned, so call counts equal the points
@@ -27,17 +28,16 @@ q = k*u - c for k = least, least + 1, ... up to q_max, and the points
 are counted per u as len(qs) * len(vs) * len(ss). Inside a u the walk
 streams: per q it forms the few t = q*u + v; per (q, s) it forms the
 v-free terms of the inequality from b = u(u + s) and the floor side
-plus one, l = floor(q(u + s)/(sk + c)) + 1 (on the lattice
-s(q + c) + cu = u(sk + c), so u cancels): lcb = l*c*b and m = b - l*s.
-It forms them by addition, not afresh: l is x // y with
-x = q(u + s) + sk + c and y = sk + c, and from one s to the next x
-grows by q + k, y by k, b by u and c*b by c*u. Each v is then one plain
-kernel call (lcb, m, t), its verdict kept in a local, which decides
-l*(s*t + c*b) > t*b rearranged as lcb > t*m; a failing point is named
-from the kept verdicts, never by a second call. The walk has one loop
-body per v count: three calls per (q, s) for lp11, two for lp1, and one
-per q for lp50, whose single s and v need no inner loop. No list grows
-with q_max or u.
+plus one, l = floor(q(u + s)/(sk + c)) + 1: lcb = l*c*b and m = b - l*s
+(``_offset_point`` derives them from the lemma). It forms them by
+addition, not afresh: l is x // y with x = q(u + s) + sk + c and
+y = sk + c, and from one s to the next x grows by q + k, y by k, b by u
+and c*b by c*u. Each v is then one plain kernel call (lcb, m, t), its
+verdict kept in a local; a failing point is named from the kept
+verdicts, never by a second call, and ties when lcb == t*m on that
+triple. The walk has one loop body per v count: three calls per (q, s)
+for lp11, two for lp1, and one per q for lp50, whose single s and v
+need no inner loop. No list grows with q_max or u.
 With ``jobs > 1`` the u-range is split across workers; per-u results are
 added up as they arrive and the failures sorted, so worker count never
 changes output content.
@@ -49,10 +49,12 @@ symbolically (both bounding linear forms have positive slope, so
 endpoint checks at s = 156 cover the tail). The pointwise and the tail
 checks are ``(point, holds)`` verdicts counted by ``report.tally``.
 
-The brute-force sub-facts quoted inside the lemma proofs (which small
-parameter triples survive an integrality constraint) are reproduced by
-the ``*_survivors`` helpers; the offset-2 and offset-3 cases solve one
-equation with offset c, scanned once by ``_offset_survivors``.
+The brute-force sub-facts quoted inside the lemma proofs are reproduced
+by the ``*_survivors`` helpers (which small parameter triples survive an
+integrality constraint; the offset-2 and offset-3 cases solve one
+equation with offset c, scanned once by ``_offset_survivors``) and by
+``lp50_congruence_solvable_ks`` (which quotients k make the auxiliary
+congruence 3n^2 = j mod (k + 3) solvable).
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ _BOXES = {
 }
 
 
-def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Points checked at u, and the failing (q, u, s, v).
+def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, int, int, bool]]]:
+    """Points checked at u, and the failing (q, u, s, v, tie).
 
     The q of u are q = k*u - c for k >= the least quotient, up to q_max,
     walked one at a time. Per q the scan forms t = q*u + v for each v.
@@ -93,9 +95,12 @@ def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, i
     b = u(u + s) grows by u and c*b by c*u. Then lcb = l*c*b and
     m = b - l*s, and each v is one plain kernel call (lcb, m, t) whose
     verdict is kept, so a failing point is named from the verdicts
-    without a second call. There is one body per v count of ``_BOXES``:
-    three (lp11) and two (lp1) calls per (q, s), and for lp50's single
-    s and v one call per q, with x, y and t advanced per q.
+    without a second call; its tie is lcb == t*m on that triple. There
+    is one body per v count of ``_BOXES``: three (lp11) and two (lp1)
+    calls per (q, s), and for lp50's single s and v one call per q, with
+    x, y and t advanced per q. The failure branches are plain loops: a
+    comprehension there would make the terms it reads cell variables of
+    the whole scan.
     """
     name, c, least, s_values, vs, _ = _BOXES[lemma]
     point = getattr(_backend, name)
@@ -129,7 +134,9 @@ def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, i
                 h2 = point(lcb, m, t2)
                 h3 = point(lcb, m, t3)
                 if not (h1 and h2 and h3):
-                    failures += [(q, u, s, v) for v, h in zip(vs, (h1, h2, h3)) if not h]
+                    for v, t, h in ((v1, t1, h1), (v2, t2, h2), (v3, t3, h3)):
+                        if not h:
+                            failures.append((q, u, s, v, lcb == t * m))
     elif len(vs) == 2:
         v1, v2 = vs
         for k, q in enumerate(qs, least):
@@ -152,7 +159,9 @@ def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, i
                 h1 = point(lcb, m, t1)
                 h2 = point(lcb, m, t2)
                 if not (h1 and h2):
-                    failures += [(q, u, s, v) for v, h in zip(vs, (h1, h2)) if not h]
+                    for v, t, h in ((v1, t1, h1), (v2, t2, h2)):
+                        if not h:
+                            failures.append((q, u, s, v, lcb == t * m))
     else:
         (s,) = ss
         (v,) = vs
@@ -170,7 +179,7 @@ def _scan_u(lemma: str, q_max: int, u: int) -> tuple[int, list[tuple[int, int, i
             t += uu
             l = x // y
             if not point(l * cb, b - l * s, t):
-                failures.append((q, u, s, v))
+                failures.append((q, u, s, v, l * cb == t * (b - l * s)))
     return len(qs) * len(vs) * len(ss), failures
 
 
@@ -180,7 +189,7 @@ def _verify_box(lemma: str, q_max: int, jobs: int) -> VerificationReport:
     Failures are the sorted failing (q, u); the expected ones are the
     box's with q <= q_max. Each failing point is one
     observation, keyed q, u, then s and v where the box varies them, with
-    its verdict and whether the two sides tie. The per-u results are
+    its verdict and the tie ``_scan_u`` read. The per-u results are
     added up as they arrive, so no per-u list is kept.
     """
     _, c, least, s_values, vs, expected = _BOXES[lemma]
@@ -198,8 +207,8 @@ def _verify_box(lemma: str, q_max: int, jobs: int) -> VerificationReport:
     varied = "qu" + "s" * (s_values is None) + "v" * (len(vs) > 1)
     observations = [
         {key: x for key, x in zip("qusv", point) if key in varied}
-        | {"holds": False, "equality": _backend._offset_tie(c, *point)}
-        for point in failing
+        | {"holds": False, "equality": tie}
+        for *point, tie in failing
     ]
     return VerificationReport(
         lemma_id=lemma,
@@ -207,7 +216,7 @@ def _verify_box(lemma: str, q_max: int, jobs: int) -> VerificationReport:
         + (", s < u" if "s" in varied else "")
         + (f", v in {{{','.join(map(str, vs))}}}" if "v" in varied else ""),
         points_checked=points,
-        failures=sorted({(q, u) for q, u, _, _ in failing}),
+        failures=sorted({(q, u) for q, u, *_ in failing}),
         expected_exceptions=[(q, u) for q, u in expected if q <= q_max],
         observations=observations or (),
     )
@@ -247,34 +256,38 @@ def verify_lp12() -> VerificationReport:
     s >= 1 except s = 155: ``lp11_point`` at (q, u, v) = (61, 8, 1),
     that is at k = (61 + 3)/8 = 8 and t = 61*8 + 1 = 489, with
     l = floor(61(8+s)/(8s+3)) + 1 and b = 8(8+s), so each s is the
-    kernel call (3*l*b, b - l*s, 489).
+    kernel call (3*l*b, b - l*s, 489). ``at`` forms l and that call once
+    per s, for the kernel, the s = 155 record and the s = 156 floor.
 
     Points 1 <= s <= 154 are checked exactly. At s = 155 both sides equal
     7 and the strict inequality fails; the verdict is recorded as an
-    observation (the claim excludes that point). For s >= 156 the
+    observation (the claim excludes that point), with the tie read from
+    the call's arguments and the floor side l - 1. For s >= 156 the
     threshold argument is verified: the floor side equals 7 there because
     0 < 3s - 464 < 8s + 3, and the other side drops strictly below 7
     because 192s - 29760 > 0; all three linear forms are checked at
     s = 156 and have positive slope, which covers the whole tail.
     """
 
-    def holds(s):
+    def at(s):
+        """l and the kernel arguments (lcb, m, t) at s."""
         b = 8 * (8 + s)
         l = 61 * (8 + s) // (8 * s + 3) + 1
-        return _backend.lp11_point(3 * l * b, b - l * s, 489)
+        return l, (3 * l * b, b - l * s, 489)
 
+    l, (lcb, m, t) = at(155)
     observations = [
         {
             "s": 155,
-            "holds": holds(155),
-            "equality": _backend._offset_tie(3, 61, 8, 155, 1),
-            "floor_value": (61 * (8 + 155)) // (8 * 155 + 3),
+            "holds": _backend.lp11_point(lcb, m, t),
+            "equality": lcb == t * m,
+            "floor_value": l - 1,
         }
     ]
 
     def verdicts():
         for s in range(1, 155):
-            yield (s,), holds(s)
+            yield (s,), _backend.lp11_point(*at(s)[1])
         # tail argument: each linear form positive at s = 156 with positive slope
         for name, slope, intercept in (
             ("3s-464", 3, -464),
@@ -282,7 +295,7 @@ def verify_lp12() -> VerificationReport:
             ("192s-29760", 192, -29760),
         ):
             yield ("tail", name), slope > 0 and slope * 156 + intercept > 0
-        yield ("tail", "floor-at-156"), (61 * (8 + 156)) // (8 * 156 + 3) == 7
+        yield ("tail", "floor-at-156"), at(156)[0] - 1 == 7
 
     return tally(
         "lp12",
@@ -357,15 +370,7 @@ def lp50_congruence_solvable_ks(j: int) -> list[int]:
     j = 1 scans 4 <= k <= 17 (solvable only for k in {8, 10});
     j = 2 scans 4 <= k <= 7 (solvable only for k = 7).
     """
-    if j == 1:
-        k_range = range(4, 18)
-    elif j == 2:
-        k_range = range(4, 8)
-    else:
+    if j not in (1, 2):
         raise DomainError("j must be 1 or 2")
-    out = []
-    for k in k_range:
-        mod = k + 3
-        if any((3 * n * n) % mod == j % mod for n in range(mod)):
-            out.append(k)
-    return out
+    k_range = range(4, 18) if j == 1 else range(4, 8)  # k + 3 > j, so j is its own residue
+    return [k for k in k_range if any(3 * n * n % (k + 3) == j for n in range(k + 3))]

@@ -330,6 +330,27 @@ def test_denominators_past_the_int_str_limit_are_printed(capsys, default_int_str
     assert json.loads(out)["a_m"] == _decimal(terms[13])
 
 
+def test_an_in_process_call_gives_the_int_str_limit_back(capsys, default_int_str_limit):
+    # the limit guards a long-lived caller against quadratic int -> str
+    # conversions, so main(argv) lifts it for its command alone, whatever
+    # the exit code
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    for argv, exit_code in (
+        (["upsilon", "7", "54"], 0),
+        (["expand", "5", "16", "--m", "15"], 0),
+        (["best", "3", "2", "--m", "2"], cli.EXIT_DOMAIN),
+        (["--format", "csv", "upsilon", "7", "54"], cli.EXIT_DOMAIN),
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == exit_code, argv
+        assert limit() == before, argv
+    with pytest.raises(SystemExit):
+        cli.main(["upsilon", "7"])
+    capsys.readouterr()
+    assert limit() == before
+
+
 def test_step_is_digit_guarded(capsys):
     # step m needs a_{m+1}: a_15 fits the default guard, a_16 does not
     code, _, _ = run_cli(capsys, "step", "5", "16", "--m", "14", "--n", "2")

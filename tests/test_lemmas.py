@@ -22,6 +22,13 @@ def _at(c, q, u, s, v):
     return l * c * b, b - l * s, q * u + v
 
 
+def _tie(c, q, u, s, v):
+    """Whether the offset-c lemma's two sides agree exactly at (q, u, s, v):
+    lcb == t*m on the point's kernel arguments, as the sweeps read it."""
+    lcb, m, t = _at(c, q, u, s, v)
+    return lcb == t * m
+
+
 # suite -> (kernel, offset, least quotient, v values); lp50 has s = 1, v = 3
 _KERNELS = {
     "lp1": ("lp1_point", 2, 3, (1, 2)),
@@ -102,15 +109,17 @@ def _lp50_tie_by_fractions(q, u):
 
 
 def test_lp50_ties_are_offset3_ties_at_s1_v3():
-    for q in range(5, 2001):
-        for u in range(2, (q + 3) // 4 + 1):
-            if (q + 3) % u == 0:
-                assert _backend._offset_tie(3, q, u, 1, 3) == _lp50_tie_by_fractions(q, u)
-    # the lp50 box has no ties; off the box there are, and they agree too
-    grid = [(q, u) for q in range(1, 301) for u in range(1, 101)]
-    ties = {qu for qu in grid if _lp50_tie_by_fractions(*qu)}
-    assert len(ties) > 100
-    assert all(_backend._offset_tie(3, q, u, 1, 3) == ((q, u) in ties) for q, u in grid)
+    # every lattice point q + 3 = k*u with q <= 2000, k >= 1: the lp50 box
+    # (k >= 4) has no ties, and the rest of the lattice ties only at q = 3
+    ties = []
+    for u in range(1, 2004):
+        for q in range(u - 3, 2001, u):
+            if q >= 1:
+                tie = _tie(3, q, u, 1, 3)
+                assert tie == _lp50_tie_by_fractions(q, u), (q, u)
+                if tie:
+                    ties.append((q, u))
+    assert ties == [(3, 1), (3, 2), (3, 3), (3, 6)]
     assert lemmas.verify_lp50(100).observations == [
         {"q": 17, "u": 2, "holds": False, "equality": False},
         {"q": 61, "u": 8, "holds": False, "equality": False},
@@ -144,7 +153,7 @@ def test_lp12_is_the_offset3_inequality_at_61_8_1():
     for s in range(1, 20_000):
         holds = lp11_point(*_at(3, 61, 8, s, 1))
         assert holds == oracles.lp12_point(s), s
-        assert _backend._offset_tie(3, 61, 8, s, 1) == oracles.lp12_is_tie(s), s
+        assert _tie(3, 61, 8, s, 1) == oracles.lp12_is_tie(s), s
         if not holds:
             failing.append(s)
     assert failing == [155] and oracles.lp12_is_tie(155)
@@ -276,12 +285,12 @@ def test_kernels_match_the_unshared_formulas():
                 point = (q, u, s, v)
                 verdicts.add(lp11_point(*_at(3, *point)))
                 assert lp11_point(*_at(3, *point)) == oracles.lp11_point(*point), point
-                assert _backend._offset_tie(3, *point) == oracles.lp11_is_tie(*point), point
+                assert _tie(3, *point) == oracles.lp11_is_tie(*point), point
     assert verdicts == {True, False}  # the box holds the failures at (17, 2) and (61, 8)
     # off the boxes, where the inequalities fail and tie far more often: the
-    # kernels on the lattice q = k*u - c for every k >= 1, the ties anywhere
+    # kernels and the ties on the lattice q = k*u - c for every k >= 1
     verdicts = {True: 0, False: 0}
-    ties = lattice_ties = offset2_ties = 0
+    offset3_ties = offset2_ties = 0
     for q in range(1, 61):
         for u in range(1, 25):
             for s in range(1, u + 3):
@@ -289,24 +298,22 @@ def test_kernels_match_the_unshared_formulas():
                     point = (q, u, s, v)
                     if (q + 2) % u == 0:
                         assert lp1_point(*_at(2, *point)) == oracles.lp1_point(*point), point
+                        tie = _tie(2, *point)
+                        assert tie == _offset2_tie_by_fractions(*point), point
+                        offset2_ties += tie
                     if (q + 3) % u == 0:
                         holds = lp11_point(*_at(3, *point))
                         assert holds == oracles.lp11_point(*point), point
                         verdicts[holds] += 1
-                        lattice_ties += oracles.lp11_is_tie(*point)
-                    if v > 4:
-                        continue
-                    tie = _backend._offset_tie(3, *point)
-                    assert tie == oracles.lp11_is_tie(*point), point
-                    ties += tie
-                    tie = _backend._offset_tie(2, *point)
-                    assert tie == _offset2_tie_by_fractions(*point), point
-                    offset2_ties += tie
+                        tie = _tie(3, *point)
+                        assert tie == oracles.lp11_is_tie(*point), point
+                        offset3_ties += tie
         for u in range(1, 100):
             if (q + 3) % u == 0:
                 assert lp50_point(*_at(3, q, u, 1, 3)) == oracles.lp50_point(q, u), (q, u)
-    assert min(verdicts.values()) > 1000 and lattice_ties > 10
-    assert ties > 10 and offset2_ties > 100
+    # 62 offset-2 and 78 offset-3 lattice ties
+    assert min(verdicts.values()) > 1000
+    assert offset2_ties > 50 and offset3_ties > 50
 
 
 def test_kernels_are_exact_at_large_box_points():
