@@ -19,8 +19,14 @@ does not read (see ``SUITES``), are domain errors raised before any work.
 The tables, ``verify threshold`` and ``phi-samples`` in csv or json, are
 written through one generator, ``_written``, in batches of fixed layouts
 byte for byte equal to what ``csv.writer`` and ``json.dump(indent=2)``
-write, and so are the json threshold report's observations. That report
+write, and so are the json threshold report's observations. A batch is
+written once its rows have passed into the check, so no threshold row
+that fails the check's interval assertion is printed. The json report
 spools its rows, since its keys and observations come first.
+
+Arguments are read, and every command runs, without CPython's limit on
+the digits of an int <-> str conversion (see ``main``), so any number
+the CLI prints can be passed back to it.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import sys
 from collections import namedtuple
 from contextlib import closing
 from fractions import Fraction
+from itertools import islice
 
 from . import counterexamples, greedy, lemmas, underapprox
 from ._pool import worker_count
@@ -128,20 +135,17 @@ def _written(rows, encode, write, sep=""):
     """Yield each row unchanged, writing ``encode(batch)`` per batch of rows.
 
     A batch is ``_ROWS_PER_WRITE`` rows, or the rows left at the end, and
-    ``sep`` goes between batches. ``encode`` gets the whole batch, so the
-    per-row work stays inside its list comprehension.
+    ``sep`` goes between batches. A batch's rows are all yielded before
+    the batch is written, so a consumer that raises on a row stops the
+    write of the batch that holds it. ``encode`` gets the whole batch, so
+    the per-row work stays inside its list comprehension.
     """
-    batch = []
+    rows = iter(rows)
     lead = ""
-    for row in rows:
-        batch.append(row)
-        if len(batch) == _ROWS_PER_WRITE:
-            write(lead + encode(batch))
-            lead = sep
-            batch = []
-        yield row
-    if batch:
+    while batch := list(islice(rows, _ROWS_PER_WRITE)):
+        yield from batch
         write(lead + encode(batch))
+        lead = sep
 
 
 # One phi-samples row as json.dumps(indent=2) lays out its item of the
@@ -450,31 +454,35 @@ def main(argv=None) -> int:
     egfrac.cli`` call it, ``main`` is the program: it reads ``sys.argv``
     and, before the command runs, moves every object made so far into the
     collector's permanent generation with ``gc.freeze()``. Every command
-    runs without CPython's limit on the digits of an int -> str
-    conversion, so that denominators up to the 10,000-digit guard print;
-    the program leaves it lifted. A caller that passes ``argv`` keeps its
-    collector as it was and gets its digit limit back when ``main``
-    returns.
+    runs without CPython's limit on the digits of an int <-> str
+    conversion, so that denominators up to the 10,000-digit guard print,
+    and its arguments are read under the same lift, so that any number it
+    prints can be passed back in; the program leaves the limit lifted. A
+    caller that passes ``argv`` keeps its collector as it was and gets its
+    digit limit back when ``main`` returns or argparse exits.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if argv is None:
-        # The start-up heap (modules, classes, the parser) lives until exit,
-        # so no collection needs to walk it: not the ones at exit, during
-        # the run or in forked --jobs workers, whose copy-on-write pages it
-        # also spares. A long-lived caller that passes argv is not frozen,
-        # since frozen cyclic garbage would never be freed.
-        gc.freeze()
     # Denominators within the digit guard run to 10,000 digits, beyond
-    # CPython's default 4,300-digit limit on int -> str (3.10.7 and later),
-    # so the command runs without it. The limit guards a long-lived caller
-    # against quadratic conversions, so one that passes argv gets it back.
+    # CPython's default 4,300-digit limit on int <-> str (3.10.7 and later),
+    # so the arguments are read and the command runs without it: what the
+    # CLI prints, it reads back. A program's argument is at most 128 KiB on
+    # Linux, so no argument costs it an unbounded quadratic parse. The limit
+    # guards a long-lived caller against quadratic conversions, so one that
+    # passes argv gets it back, even when argparse exits.
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digits is not None:
         sys.set_int_max_str_digits(0)
-    target = f"verify {args.suite}" if args.command == "verify" else args.command
-    formats = SUITES[args.suite].formats if args.command == "verify" else args.formats
     try:
+        args = parser.parse_args(argv)
+        if argv is None:
+            # The start-up heap (modules, classes, the parser) lives until
+            # exit, so no collection needs to walk it: not the ones at exit,
+            # during the run or in forked --jobs workers, whose copy-on-write
+            # pages it also spares. A long-lived caller that passes argv is
+            # not frozen, since frozen cyclic garbage would never be freed.
+            gc.freeze()
+        target = f"verify {args.suite}" if args.command == "verify" else args.command
+        formats = SUITES[args.suite].formats if args.command == "verify" else args.formats
         if args.format not in formats:
             raise DomainError(f"{args.format} output is not defined for {target!r}")
         code = args.func(args)

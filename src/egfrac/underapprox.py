@@ -180,8 +180,7 @@ def _threshold_rows_for_q(q: int) -> list[tuple]:
         unique = len(tuples) == 1
         # every optimal pair with x1 = a1 is the greedy pair, and none has x1 < a1
         if tuples[0][0] == a1:
-            ties = () if unique else tuple(tuples[1:])
-            rows.append((p, q, upsilon(p, q), True, unique, ties, ()))
+            rows.append((p, q, upsilon(p, q), True, unique, () if unique else tuple(tuples[1:]), ()))
         else:
             rows.append((p, q, upsilon(p, q), False, unique, (), tuple(tuples)))
     return rows
@@ -257,8 +256,7 @@ def verify_threshold_rows(rows: Iterable[tuple], q_max: int) -> VerificationRepo
     observations: list[dict] = []
     points = 0
     unmet = _constructed_losses(q_max)
-    for p, q, ups, greedy_is_best, unique, ties, losses in rows:
-        points += 1
+    for points, (p, q, ups, greedy_is_best, unique, ties, losses) in enumerate(rows, 1):
         if ties or losses:
             a1 = q // p + 1
             a2 = q * a1 // (p * a1 - q) + 1

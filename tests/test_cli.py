@@ -330,15 +330,27 @@ def test_denominators_past_the_int_str_limit_are_printed(capsys, default_int_str
     assert json.loads(out)["a_m"] == _decimal(terms[13])
 
 
+def test_numbers_past_the_int_str_limit_are_read(capsys, default_int_str_limit):
+    # what the CLI prints it reads back: 5/16's a_15 (9,976 digits) as q
+    a15 = _decimal(greedy.expand(Fraction(5, 16), 15).terms[14])
+    code, out, err = run_cli(capsys, "upsilon", "1", a15)
+    assert (code, err) == (0, "")
+    assert f'\n  "q": {a15},\n' in out  # json.loads would hit the limit
+    # a 12,000-digit q is read, and its first greedy term trips the digit guard
+    code, out, err = run_cli(capsys, "upsilon", "2", "1" + "0" * 11998 + "1")
+    assert (code, out) == (cli.EXIT_GUARD, "") and "digit guard" in err
+
+
 def test_an_in_process_call_gives_the_int_str_limit_back(capsys, default_int_str_limit):
-    # the limit guards a long-lived caller against quadratic int -> str
-    # conversions, so main(argv) lifts it for its command alone, whatever
-    # the exit code
+    # the limit guards a long-lived caller against quadratic int <-> str
+    # conversions, so main(argv) lifts it for its arguments and command
+    # alone, whatever the exit code
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     before = limit()
     for argv, exit_code in (
         (["upsilon", "7", "54"], 0),
         (["expand", "5", "16", "--m", "15"], 0),
+        (["upsilon", "1", "1" + "0" * 4999], 0),
         (["best", "3", "2", "--m", "2"], cli.EXIT_DOMAIN),
         (["--format", "csv", "upsilon", "7", "54"], cli.EXIT_DOMAIN),
     ):
@@ -488,13 +500,31 @@ def _phi_samples_as_lists(fmt, denom):
     return out.getvalue()
 
 
-# 2 and 3 give one and two rows; 5000 gives 4,501 rows, three json batches
+# 2 and 3 give one and two rows; 2275 and 4550 exactly one and two full
+# batches of 2,048 rows; 5000 gives 4,501 rows, three batches
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("denom", [2, 3, 12, 30, 97, 1000, 5000])
+@pytest.mark.parametrize("denom", [2, 3, 12, 30, 97, 1000, 2275, 4550, 5000])
 def test_phi_samples_streamed_equals_the_list_form(capsys, fmt, denom):
     code, out, _ = run_cli(capsys, "--format", fmt, "phi-samples", "--denom", str(denom))
     assert code == 0
     assert out == _phi_samples_as_lists(fmt, denom)
+
+
+# the first row, the last row of the first full batch, the first of the next
+@pytest.mark.parametrize("k", [1, cli._ROWS_PER_WRITE, cli._ROWS_PER_WRITE + 1])
+def test_a_row_the_consumer_rejects_is_not_written(k):
+    writes = []
+
+    def consume():
+        rows = range(1, 3 * cli._ROWS_PER_WRITE)
+        for row in cli._written(rows, lambda rs: "".join([f"[{r}]" for r in rs]), writes.append):
+            if row == k:
+                raise ValueError(row)
+
+    with pytest.raises(ValueError):
+        consume()
+    assert f"[{k}]" not in "".join(writes)
+    assert len(writes) == (k - 1) // cli._ROWS_PER_WRITE  # the full batches before k's
 
 
 def _under_data_limit(argv):
