@@ -14,12 +14,16 @@ Exit codes (stable API): 0 ok, 2 domain error, 3 digit guard exceeded,
 proved identity failed: a bug, reported in one stderr line), 141 stdout
 closed by its reader before the output was written (nothing on stderr).
 A format a command does not declare, and a flag that a ``verify`` suite
-does not read (see ``SUITES``), are domain errors raised before any work.
+does not read (each suite lists its flags in ``SUITES``), are domain
+errors raised before any work. Each flag of ``verify`` has one default,
+in ``_FLAG_DEFAULTS``.
 
 The tables, ``verify threshold`` and ``phi-samples`` in csv or json, are
 written through one generator, ``_written``, in batches of fixed layouts
 byte for byte equal to what ``csv.writer`` and ``json.dump(indent=2)``
-write, and so are the json threshold report's observations. A batch is
+write, and so are the json threshold report's observations. A table is
+begun only once its bounds have been checked (the threshold sweep checks
+its own when it is made), so a bad bound writes nothing. A batch is
 written once its rows have passed into the check, so no threshold row
 that fails the check's interval assertion is printed. The json report
 spools its rows, since its keys and observations come first.
@@ -42,7 +46,6 @@ from fractions import Fraction
 from itertools import islice
 
 from . import counterexamples, greedy, lemmas, underapprox
-from ._pool import worker_count
 from .errors import (
     DigitGuardExceeded,
     DomainError,
@@ -282,89 +285,76 @@ def _emit_threshold_json(report, spool) -> None:
     write("\n  ]\n}\n")
 
 
-def _threshold_report(q_max, jobs, *encoding):
-    """The threshold report; given ``encoding``, ``_written``'s ``encode,
-    write[, sep]``, each row is written as it passes into the check.
+def _threshold_report(rows, q_max, *encoding):
+    """The report on ``rows``, a ``threshold_sweep`` up to ``q_max``; given
+    ``encoding``, ``_written``'s ``encode, write[, sep]``, each row is
+    written as it passes into the check.
 
     The sweep is closed on any exit: an exception raised while a row is
     checked or written (Ctrl-C, say) would otherwise keep the pool running
     until the interpreter exits.
     """
-    with closing(underapprox.threshold_sweep(q_max, jobs=jobs)) as rows:
+    with closing(rows):
         if encoding:
             rows = _written(rows, *encoding)
         return underapprox.verify_threshold_rows(rows, q_max)
 
 
 def _stream_threshold(fmt, q_max, jobs) -> int:
-    """``verify threshold`` as a csv or json table. json's rows wait in a
-    spool, since the report's keys are written before them."""
+    """``verify threshold`` as a csv or json table. The sweep is made, and
+    so its bounds checked, before the table's first byte is written; json's
+    rows wait in a spool, since the report's keys are written before them."""
+    rows = underapprox.threshold_sweep(q_max, jobs=jobs)
     if fmt == "csv":
         sys.stdout.write(_THRESHOLD_CSV_HEADER)
-        report = _threshold_report(q_max, jobs, _rows_csv, sys.stdout.write)
+        report = _threshold_report(rows, q_max, _rows_csv, sys.stdout.write)
     else:
         import tempfile  # about 6 ms of imports, paid by json threshold runs only
 
         with tempfile.TemporaryFile("w+", encoding="ascii", newline="") as spool:
-            report = _threshold_report(q_max, jobs, _rows_json, spool.write, ",")
+            report = _threshold_report(rows, q_max, _rows_json, spool.write, ",")
             _emit_threshold_json(report, spool)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-# A verify suite: the bound flag it reads (None: it reads none) and that
-# bound's default, the formats it writes, and its runner, run(bound, jobs)
-# -> reports. The --q-max suites are the pooled sweeps, the only ones that
-# read --jobs. A runner looks its check up when it runs, so that a test can
-# replace the check.
-Suite = namedtuple("Suite", "flag default formats run")
+# A verify suite: the flags of `verify` it reads, the formats it writes,
+# and its runner, which takes those flags' values in that order and
+# returns reports. A runner looks its check up when it runs, so that a
+# test can replace the check.
+Suite = namedtuple("Suite", "flags formats run")
 
 _FORMATS = ("json", "csv", "plain")
 _JSON_PLAIN = ("json", "plain")
+_SWEEP = ("--q-max", "--jobs")  # the flags of the pooled sweeps
 
 SUITES = {
-    "lp1": Suite("--q-max", 500, _JSON_PLAIN, lambda q, jobs: [lemmas.verify_lp1(q, jobs=jobs)]),
-    "lp11": Suite("--q-max", 500, _JSON_PLAIN, lambda q, jobs: [lemmas.verify_lp11(q, jobs=jobs)]),
-    "lp12": Suite(None, None, _JSON_PLAIN, lambda _, __: [lemmas.verify_lp12()]),
-    "lp50": Suite("--q-max", 500, _JSON_PLAIN, lambda q, jobs: [lemmas.verify_lp50(q, jobs=jobs)]),
-    "threshold": Suite("--q-max", 500, _FORMATS, lambda q, jobs: [_threshold_report(q, jobs)]),
-    "claims": Suite("--j-max", 500, _JSON_PLAIN, lambda j, _: [
+    "lp1": Suite(_SWEEP, _JSON_PLAIN, lambda q, jobs: [lemmas.verify_lp1(q, jobs=jobs)]),
+    "lp11": Suite(_SWEEP, _JSON_PLAIN, lambda q, jobs: [lemmas.verify_lp11(q, jobs=jobs)]),
+    "lp12": Suite((), _JSON_PLAIN, lambda: [lemmas.verify_lp12()]),
+    "lp50": Suite(_SWEEP, _JSON_PLAIN, lambda q, jobs: [lemmas.verify_lp50(q, jobs=jobs)]),
+    "threshold": Suite(_SWEEP, _FORMATS, lambda q, jobs: [
+        _threshold_report(underapprox.threshold_sweep(q, jobs=jobs), q)]),
+    "claims": Suite(("--j-max",), _JSON_PLAIN, lambda j: [
         counterexamples.check_fractional_claims(claim, j) for claim in ("cls1", "cls2", "cll5")]),
-    "roots": Suite("--s-max", 100, _JSON_PLAIN, lambda s, _: [
+    "roots": Suite(("--s-max",), _JSON_PLAIN, lambda s: [
         counterexamples.check_root_interval(case, s) for case in (1, 2, 3)]),
-    "tables": Suite(None, None, _JSON_PLAIN, lambda _, __: [counterexamples.verify_tables()]),
+    "tables": Suite((), _JSON_PLAIN, lambda: [counterexamples.verify_tables()]),
 }
 
-# the flags of `verify`: each suite's bound flag, and --jobs
-_SUITE_FLAGS = (*dict.fromkeys(s.flag for s in SUITES.values() if s.flag), "--jobs")
-_DEFAULT_JOBS = 1
-
-
-def _reads(suite) -> tuple:
-    """The flags of `verify` that ``suite`` reads."""
-    return (suite.flag, "--jobs") if suite.flag == "--q-max" else (suite.flag,)
-
-
-def _flag_help(flag) -> str:
-    """``--help`` for a flag of `verify`: the suites that read it, by default value."""
-    by_default = {}
-    for name, suite in SUITES.items():
-        if flag in _reads(suite):
-            default = _DEFAULT_JOBS if flag == "--jobs" else suite.default
-            by_default.setdefault(default, []).append(name)
-    return "; ".join(f"read by {', '.join(names)} (default {d})" for d, names in by_default.items())
+# the flags of `verify`, each with its one default
+_FLAG_DEFAULTS = {"--q-max": 500, "--j-max": 500, "--s-max": 100, "--jobs": 1}
 
 
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _SUITE_FLAGS}
-    for flag, value in values.items():
-        if value is not None and flag not in _reads(suite):
+    given = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _FLAG_DEFAULTS}
+    for flag, value in given.items():
+        if value is not None and flag not in suite.flags:
             raise DomainError(f"verify {args.suite} does not read {flag}")
-    jobs = worker_count(_DEFAULT_JOBS if values["--jobs"] is None else values["--jobs"])
-    bound = suite.default if values.get(suite.flag) is None else values[suite.flag]
+    values = [_FLAG_DEFAULTS[flag] if given[flag] is None else given[flag] for flag in suite.flags]
     if args.suite == "threshold" and args.format != "plain":
-        return _stream_threshold(args.format, bound, jobs)
-    reports = suite.run(bound, jobs)
+        return _stream_threshold(args.format, *values)
+    reports = suite.run(*values)
 
     def plain_lines():
         for r in reports:
@@ -396,13 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = sub.add_parser("expand", parents=[fraction], help="greedy expansion of p/q")
     p_expand.add_argument("--m", type=int, required=True, help="number of terms")
-    p_expand.add_argument(
+    guard = p_expand.add_mutually_exclusive_group()
+    guard.add_argument(
         "--digit-guard",
         type=int,
         default=DEFAULT_DIGIT_GUARD,
         help=f"abort when a denominator exceeds this many digits (default {DEFAULT_DIGIT_GUARD})",
     )
-    p_expand.add_argument("--no-guard", action="store_true", help="disable the digit guard")
+    guard.add_argument("--no-guard", action="store_true", help="disable the digit guard")
     p_expand.set_defaults(func=cmd_expand, formats=_JSON_PLAIN)
 
     p_best = sub.add_parser(
@@ -430,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument("suite", choices=SUITES)
-    for flag in _SUITE_FLAGS:  # None: not given, so that cmd_verify can reject it
-        p_verify.add_argument(flag, type=int, help=_flag_help(flag))
+    for flag, default in _FLAG_DEFAULTS.items():  # None: not given, so cmd_verify can reject it
+        readers = ", ".join(name for name, suite in SUITES.items() if flag in suite.flags)
+        p_verify.add_argument(flag, type=int, help=f"read by {readers} (default {default})")
     p_verify.set_defaults(func=cmd_verify)
 
     p_phi = sub.add_parser("phi-samples", help="exact phi samples on a rational grid")

@@ -66,6 +66,12 @@ def test_expand_digit_guard_exit_code(capsys):
     code, out, _ = run_cli(capsys, "expand", "9", "28", "--m", "9", "--no-guard")
     assert code == 0
     assert len(json.loads(out)["terms"]) == 9
+    # a guard and no guard at once is a usage error, whatever the guard
+    for guard in ("0", "5"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["expand", "1", "7", "--m", "3", "--digit-guard", guard, "--no-guard"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("guard", ["0", "-5"])
@@ -639,13 +645,14 @@ def test_csv_rejected_where_undefined(capsys, monkeypatch):
 
 
 # a small bound for each bound flag a suite can read
-_SMALL_BOUNDS = {None: [], "--q-max": ["--q-max", "40"], "--j-max": ["--j-max", "40"],
+_SMALL_BOUNDS = {"--q-max": ["--q-max", "40"], "--j-max": ["--j-max", "40"],
                  "--s-max": ["--s-max", "20"]}
 
 
 @pytest.mark.parametrize("suite", sorted(cli.SUITES))
 def test_every_suite_passes_at_a_small_bound(capsys, suite):
-    argv = ["verify", suite, *_SMALL_BOUNDS[cli.SUITES[suite].flag]]
+    flags = cli.SUITES[suite].flags
+    argv = ["verify", suite, *(arg for flag in flags for arg in _SMALL_BOUNDS.get(flag, ()))]
     code, out, _ = run_cli(capsys, "--format", "json", *argv)
     assert code == 0
     payload = json.loads(out)
@@ -660,11 +667,12 @@ def test_every_suite_passes_at_a_small_bound(capsys, suite):
 
 @pytest.mark.parametrize("suite", sorted(cli.SUITES))
 def test_a_flag_the_suite_does_not_read_is_rejected(capsys, monkeypatch, suite):
-    read = cli.SUITES[suite].flag
     monkeypatch.setitem(cli.SUITES, suite, cli.SUITES[suite]._replace(run=_no_work))
     monkeypatch.setattr(underapprox, "threshold_sweep", _no_work)
-    assert cli._SUITE_FLAGS == ("--q-max", "--j-max", "--s-max", "--jobs")
-    unread = [f for f in cli._SUITE_FLAGS if f not in (read, "--jobs" if read == "--q-max" else None)]
+    assert tuple(cli._FLAG_DEFAULTS) == ("--q-max", "--j-max", "--s-max", "--jobs")
+    # a suite that reads --q-max reads --jobs too, and no other suite does
+    assert ("--q-max" in cli.SUITES[suite].flags) == ("--jobs" in cli.SUITES[suite].flags)
+    unread = [f for f in cli._FLAG_DEFAULTS if f not in cli.SUITES[suite].flags]
     for flag in unread:
         for fmt in cli.SUITES[suite].formats:
             code, out, err = run_cli(capsys, "--format", fmt, "verify", suite, flag, "2")
@@ -680,12 +688,10 @@ def test_verify_help_names_each_flags_suites_and_default(capsys, monkeypatch):
     lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
              if line.startswith("  --")}
     for flag in ("--q-max", "--j-max", "--s-max", "--jobs"):
-        readers = [name for name, s in cli.SUITES.items()
-                   if s.flag == flag or (flag == "--jobs" and s.flag == "--q-max")]
+        readers = [name for name, s in cli.SUITES.items() if flag in s.flags]
         named = [word for word in re.findall(r"\w+", lines[flag]) if word in cli.SUITES]
         assert named == readers, flag
-        defaults = {1} if flag == "--jobs" else {cli.SUITES[name].default for name in readers}
-        assert all(f"(default {d})" in lines[flag] for d in defaults), flag
+        assert f"(default {cli._FLAG_DEFAULTS[flag]})" in lines[flag], flag
 
 
 @pytest.mark.parametrize("suite", ["lp1", "lp11", "lp50"])
@@ -914,11 +920,27 @@ def test_threshold_output_does_not_depend_on_jobs(capsys, fmt):
 @pytest.mark.parametrize("suite", ["lp1", "threshold"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_a_domain_error(capsys, suite, jobs):
-    code, out, err = run_cli(
-        capsys, "--format", "plain", "verify", suite, "--q-max", "30", "--jobs", jobs
-    )
-    assert code == cli.EXIT_DOMAIN
-    assert out == "" and "jobs" in err
+    for fmt in cli.SUITES[suite].formats:
+        code, out, err = run_cli(
+            capsys, "--format", fmt, "verify", suite, "--q-max", "30", "--jobs", jobs
+        )
+        assert code == cli.EXIT_DOMAIN, fmt
+        assert out == "" and "jobs" in err, fmt
+
+
+@pytest.mark.parametrize("argv", [
+    "verify lp1 --q-max 3", "verify lp11 --q-max 4", "verify lp50 --q-max 4",
+    "verify threshold --q-max 1", "verify claims --j-max 0", "verify roots --s-max 1",
+    "phi-samples --denom 1",
+])
+def test_a_bound_below_its_least_value_writes_nothing(capsys, argv):
+    # each bound one below its least value, in every format that reads it: it
+    # is checked before the first byte of any table, the csv threshold header too
+    command, name, *_ = argv.split()
+    for fmt in cli.SUITES[name].formats if command == "verify" else ("json", "csv"):
+        code, out, err = run_cli(capsys, "--format", fmt, *argv.split())
+        assert (code, out) == (cli.EXIT_DOMAIN, ""), fmt
+        assert "must be >=" in err, fmt
 
 
 def test_worker_count_clamps_to_cpu_count(monkeypatch):
